@@ -17,11 +17,11 @@ from .dsp import (
     filtfilt,
     knn_smooth,
     preprocess,
-    zscore_global,
 )
 from .evaluate import (
     EvalError,
     EvalReport,
+    FoldTransform,
     ModelSpec,
     TrainedModel,
     cross_validate,
@@ -37,8 +37,6 @@ from .features import (
     ErpEpochs,
     FeatureMatrix,
     FeatureError,
-    WindowSpec,
-    assemble,
     db_normalize,
     envelope_statistics,
     erp_epochs,
@@ -47,21 +45,18 @@ from .features import (
     lda_fit,
     lda_project,
     load_feature_matrix,
-    tf_features,
     window_stats,
     write_feature_matrix,
 )
-from .forest import RfHyperParams, RfModel, rf_predict, rf_predict_proba, rf_train
+from .forest import RfHyperParams, RfModel, rf_predict_proba, rf_train
 from .recording import (
     CHANNELS,
     DEFAULT_BANDS,
     BandDefinition,
-    EpochSet,
     Recording,
     RecordingError,
-    extract_epochs,
 )
-from .svm import SvmHyperParams, SvmModel, svm_decision, svm_predict, svm_train
+from .svm import SvmHyperParams, SvmModel, svm_decision, svm_train
 from .synth import SynthConfig, synthesize
 from .tune import (
     SearchSpace,

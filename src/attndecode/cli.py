@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import dataset, dsp, evaluate, features, report, synth, tune
@@ -55,7 +55,11 @@ class RunConfig:
             raise CliError(f"smooth_k must be odd and >= 1, got {self.smooth_k}")
         if self.trials < 1:
             raise CliError(f"trials must be >= 1, got {self.trials}")
-        self.band_definitions()
+        # band edges are settable, but the names fix the feature columns
+        names = [b.name for b in self.band_definitions()]
+        expected = [b.name for b in DEFAULT_BANDS]
+        if names != expected:
+            raise CliError(f"bands must be named {expected} in this order, got {names}")
 
     def band_definitions(self) -> tuple[BandDefinition, ...]:
         return tuple(BandDefinition(str(n), float(lo), float(hi)) for n, lo, hi in self.bands)
@@ -65,7 +69,13 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise CliError("config must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise CliError(f"unknown config keys {unknown}")
+        return cls(**doc)
 
 
 def _load_config(args) -> RunConfig:
@@ -73,7 +83,10 @@ def _load_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise CliError(f"missing config file: {path}")
-        cfg = RunConfig.from_json(path.read_text(encoding="utf-8"))
+        try:
+            cfg = RunConfig.from_json(path.read_text(encoding="utf-8"))
+        except (TypeError, ValueError) as e:
+            raise CliError(f"{path}: {e}") from e
     else:
         cfg = RunConfig()
     for name in ("data", "out", "model", "trials", "seed"):

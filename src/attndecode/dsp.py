@@ -154,17 +154,6 @@ def baseline_correct(activity: np.ndarray, baseline: np.ndarray) -> np.ndarray:
     return np.asarray(activity, float) - baseline.mean()
 
 
-def zscore_global(x: np.ndarray) -> np.ndarray:
-    """Standardize each row of [n_channels, n_samples] to mean 0, std 1."""
-    x = np.asarray(x, float)
-    mean = x.mean(axis=-1, keepdims=True)
-    std = x.std(axis=-1, keepdims=True)
-    zero = np.flatnonzero(std.ravel() == 0.0)
-    if zero.size:
-        raise DspError(f"zero-variance channel(s) at index {zero.tolist()}")
-    return (x - mean) / std
-
-
 def preprocess(
     rec: Recording,
     *,
@@ -196,10 +185,8 @@ def preprocess(
         bl = rec.phase_slice(b, "baseline")
         whole = rec.block_slice(b)
         act = rec.phase_slice(b, "activity")
-        for c, name in enumerate(rec.channels):
-            if bl.stop == bl.start:
-                raise DspError(f"channel {name}, block {b}: empty baseline")
-            out[c, whole] = out[c, whole] - out[c, bl].mean()
+        for c in range(rec.n_channels):
+            out[c, whole] = baseline_correct(out[c, whole], out[c, bl])
         act_cols.append(out[:, act])
 
     activity = np.concatenate(act_cols, axis=1)

@@ -12,7 +12,7 @@ tuning study's trials.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +26,7 @@ from .features import (
 )
 from .forest import RfHyperParams, RfModel, Tree, rf_predict_proba, rf_train
 from .recording import CHANNELS
-from .svm import (
-    SvmHyperParams,
-    SvmModel,
-    squared_distances,
-    svm_decision,
-    svm_train,
-)
+from .svm import SvmHyperParams, SvmModel, squared_distances, svm_decision, svm_train
 
 MODEL_KINDS = ("svm", "rf")
 N_FOLDS = 5
@@ -165,6 +159,53 @@ def roc_auc(scores, y) -> tuple[np.ndarray, float]:
 
 
 @dataclass(frozen=True, eq=False)
+class FoldTransform:
+    """The fold-time columns, fitted on training trials only.
+
+    One Fisher LDA projection per channel fills the 8 LDA columns; then each
+    column is standardized with the training mean and std (a zero std
+    becomes 1). CV folds, the full model and its serialization share it.
+    """
+
+    lda_w: np.ndarray  # [n_channels, ERP_SAMPLES]
+    lda_b: np.ndarray  # [n_channels]
+    col_mean: np.ndarray  # [N_FEATURES]
+    col_std: np.ndarray  # [N_FEATURES]
+
+    @classmethod
+    def fit(cls, fm: FeatureMatrix, idx: np.ndarray) -> "FoldTransform":
+        """Fit on the rows idx of fm; no other row is read."""
+        erp = fm.erp.data[idx]
+        is_face = fm.is_face[idx]
+        lda_w = np.empty((len(CHANNELS), ERP_SAMPLES))
+        lda_b = np.empty(len(CHANNELS))
+        for c in range(len(CHANNELS)):
+            lda_w[c], lda_b[c] = lda_fit(erp[:, c, :], is_face)
+        x = _with_lda_columns(fm.values[idx], erp, lda_w, lda_b)
+        std = x.std(axis=0)
+        return cls(lda_w, lda_b, x.mean(axis=0), np.where(std == 0.0, 1.0, std))
+
+    def transform(self, values: np.ndarray, erp_data: np.ndarray) -> np.ndarray:
+        """Scaled [n, 640] rows from raw features plus their [n, 8, 50] ERP epochs."""
+        x = _with_lda_columns(values, erp_data, self.lda_w, self.lda_b)
+        return (x - self.col_mean) / self.col_std
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "FoldTransform":
+        return cls(**{f.name: np.array(doc[f.name], float) for f in fields(cls)})
+
+
+def _with_lda_columns(values, erp_data, lda_w, lda_b) -> np.ndarray:
+    x = np.array(values, float, copy=True)
+    for c in range(len(CHANNELS)):
+        x[:, LDA_COL_START + c] = lda_project(lda_w[c], float(lda_b[c]), erp_data[:, c, :])
+    return x
+
+
+@dataclass(frozen=True, eq=False)
 class _Fold:
     test_idx: np.ndarray
     x_train: np.ndarray
@@ -172,7 +213,6 @@ class _Fold:
     y_train: np.ndarray
     y_test: np.ndarray
     d2_train: np.ndarray
-    d2_test: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,24 +222,6 @@ class CvPlan:
     seed: int
 
 
-def _fill_lda_columns(fm: FeatureMatrix, train_idx, test_idx):
-    x_tr = fm.values[train_idx].copy()
-    x_te = fm.values[test_idx].copy()
-    is_face = fm.is_face[train_idx]
-    for c in range(len(CHANNELS)):
-        w, b = lda_fit(fm.erp.data[train_idx, c, :], is_face)
-        x_tr[:, LDA_COL_START + c] = lda_project(w, b, fm.erp.data[train_idx, c, :])
-        x_te[:, LDA_COL_START + c] = lda_project(w, b, fm.erp.data[test_idx, c, :])
-    return x_tr, x_te
-
-
-def _standardize(x_tr, x_te):
-    mean = x_tr.mean(axis=0)
-    std = x_tr.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return (x_tr - mean) / std, (x_te - mean) / std, mean, std
-
-
 def build_cv_plan(fm: FeatureMatrix, seed: int, k: int = N_FOLDS) -> CvPlan:
     y = labels_to_y(fm.labels)
     test_sets = stratified_kfold(fm.labels, k=k, seed=seed)
@@ -207,17 +229,16 @@ def build_cv_plan(fm: FeatureMatrix, seed: int, k: int = N_FOLDS) -> CvPlan:
     folds = []
     for test_idx in test_sets:
         train_idx = np.setdiff1d(all_idx, test_idx)
-        x_tr, x_te = _fill_lda_columns(fm, train_idx, test_idx)
-        x_tr, x_te, _, _ = _standardize(x_tr, x_te)
+        ft = FoldTransform.fit(fm, train_idx)
+        x_tr = ft.transform(fm.values[train_idx], fm.erp.data[train_idx])
         folds.append(
             _Fold(
                 test_idx=test_idx,
                 x_train=x_tr,
-                x_test=x_te,
+                x_test=ft.transform(fm.values[test_idx], fm.erp.data[test_idx]),
                 y_train=y[train_idx],
                 y_test=y[test_idx],
                 d2_train=squared_distances(x_tr, x_tr),
-                d2_test=squared_distances(x_te, x_tr),
             )
         )
     return CvPlan(folds=tuple(folds), y=y, seed=seed)
@@ -236,11 +257,7 @@ def evaluate_on_plan(plan: CvPlan, spec: ModelSpec, seed: int) -> EvalReport:
                 model = svm_train(
                     fold.x_train, fold.y_train, hp, seed=(seed, fold_id), gram=gram
                 )
-                k_test = np.exp(-hp.gamma * fold.d2_test)
-                s = (
-                    np.einsum("ij,j->i", k_test[:, model.sv_index], model.dual_coef)
-                    + model.bias
-                )
+                s = svm_decision(model, fold.x_test)
                 p = np.where(s >= 0.0, 1.0, -1.0)
             else:
                 y01 = (fold.y_train > 0).astype(np.int64)
@@ -285,24 +302,16 @@ SERIAL_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
-    """Whole scoring pipeline: LDA fill, standardization, classifier."""
+    """Whole scoring pipeline: the fitted fold transform, then the classifier."""
 
     kind: str
     params: dict
-    lda_w: np.ndarray  # [n_channels, ERP_SAMPLES]
-    lda_b: np.ndarray  # [n_channels]
-    col_mean: np.ndarray
-    col_std: np.ndarray
+    transform: FoldTransform
     inner: SvmModel | RfModel
 
     def decision(self, values: np.ndarray, erp_data: np.ndarray) -> np.ndarray:
         """Scores for [n, 640] raw features plus their [n, 8, 50] ERP epochs."""
-        x = np.array(values, float, copy=True)
-        for c in range(len(CHANNELS)):
-            x[:, LDA_COL_START + c] = lda_project(
-                self.lda_w[c], float(self.lda_b[c]), erp_data[:, c, :]
-            )
-        x = (x - self.col_mean) / self.col_std
+        x = self.transform.transform(values, erp_data)
         if self.kind == "svm":
             return svm_decision(self.inner, x)
         return rf_predict_proba(self.inner, x)
@@ -316,29 +325,15 @@ class TrainedModel:
 def train_full_model(fm: FeatureMatrix, spec: ModelSpec, seed: int = 0) -> TrainedModel:
     """Fit the whole pipeline on every trial (final reporting model)."""
     hp = spec.hyperparams()
-    x = fm.values.copy()
-    lda_w = np.empty((len(CHANNELS), ERP_SAMPLES))
-    lda_b = np.empty(len(CHANNELS))
-    is_face = fm.is_face
-    for c in range(len(CHANNELS)):
-        w, b = lda_fit(fm.erp.data[:, c, :], is_face)
-        lda_w[c] = w
-        lda_b[c] = b
-        x[:, LDA_COL_START + c] = lda_project(w, b, fm.erp.data[:, c, :])
-    x_std, _, mean, std = _standardize(x, x[:1])
+    transform = FoldTransform.fit(fm, np.arange(fm.n_trials))
+    x = transform.transform(fm.values, fm.erp.data)
     y = labels_to_y(fm.labels)
     if spec.kind == "svm":
-        inner = svm_train(x_std, y, hp, seed=(seed, 0))
+        inner = svm_train(x, y, hp, seed=(seed, 0))
     else:
-        inner = rf_train(x_std, (y > 0).astype(np.int64), hp, seed=(seed, 0))
+        inner = rf_train(x, (y > 0).astype(np.int64), hp, seed=(seed, 0))
     return TrainedModel(
-        kind=spec.kind,
-        params=dict(spec.params),
-        lda_w=lda_w,
-        lda_b=lda_b,
-        col_mean=mean,
-        col_std=std,
-        inner=inner,
+        kind=spec.kind, params=dict(spec.params), transform=transform, inner=inner
     )
 
 
@@ -347,10 +342,7 @@ def model_to_json(model: TrainedModel) -> str:
         "schema_version": SERIAL_VERSION,
         "kind": model.kind,
         "params": model.params,
-        "lda_w": model.lda_w.tolist(),
-        "lda_b": model.lda_b.tolist(),
-        "col_mean": model.col_mean.tolist(),
-        "col_std": model.col_std.tolist(),
+        **model.transform.to_dict(),
     }
     if model.kind == "svm":
         inner: SvmModel = model.inner
@@ -420,10 +412,7 @@ def model_from_json(text: str) -> TrainedModel:
     return TrainedModel(
         kind=doc["kind"],
         params=doc["params"],
-        lda_w=np.array(doc["lda_w"], float),
-        lda_b=np.array(doc["lda_b"], float),
-        col_mean=np.array(doc["col_mean"], float),
-        col_std=np.array(doc["col_std"], float),
+        transform=FoldTransform.from_dict(doc),
         inner=inner,
     )
 

@@ -37,7 +37,13 @@ HILBERT_STATS = ("mean", "median", "std", "skew", "energy", "kurt")
 # map stays finite.
 DB_POWER_FLOOR = 1e-12
 
-N_ERP_STAT_COLS = len(CHANNELS) * 7 * len(ERP_STATS)  # 336
+# ERP analysis windows in ms, [start, end) each: early response, four
+# mid-range windows, an extended period, and the full epoch.
+ERP_WINDOWS_MS = (
+    (0, 50), (80, 210), (240, 350), (400, 500), (520, 630), (650, 900), (0, 1000)
+)
+
+N_ERP_STAT_COLS = len(CHANNELS) * len(ERP_WINDOWS_MS) * len(ERP_STATS)  # 336
 N_LDA_COLS = len(CHANNELS)  # 8
 N_TF_COLS = len(CHANNELS) * len(TF_STATS)  # 56
 N_HILBERT_COLS = len(CHANNELS) * len(DEFAULT_BANDS) * len(HILBERT_STATS)  # 240
@@ -50,26 +56,6 @@ HILBERT_COL_START = TF_COL_START + N_TF_COLS
 
 class FeatureError(ValueError):
     """Feature extraction received invalid input or produced invalid output."""
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Analysis windows in milliseconds, [start, end) each."""
-
-    windows: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "windows", tuple(tuple(w) for w in self.windows))
-        for start, end in self.windows:
-            if not 0 <= start < end:
-                raise FeatureError(f"bad window ({start}, {end})")
-
-
-# Early response, four mid-range windows, an extended period, and the full
-# epoch.
-DEFAULT_WINDOWS = WindowSpec(
-    ((0, 50), (80, 210), (240, 350), (400, 500), (520, 630), (650, 900), (0, 1000))
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +106,8 @@ def erp_epochs(rec: Recording) -> ErpEpochs:
     return ErpEpochs(data=data, fs_out=ERP_FS_OUT, labels=labels, block_of=block_of)
 
 
-def window_stats(epoch: np.ndarray, spec: WindowSpec = DEFAULT_WINDOWS) -> np.ndarray:
-    """The 6 statistics for each window of one 50-sample channel epoch.
+def window_stats(epoch: np.ndarray) -> np.ndarray:
+    """The 6 statistics for each ERP window of one 50-sample channel epoch.
 
     Per window, in order: mean, population variance, population std,
     peak-to-peak, zero crossings (consecutive pairs with strictly negative
@@ -132,8 +118,8 @@ def window_stats(epoch: np.ndarray, spec: WindowSpec = DEFAULT_WINDOWS) -> np.nd
         raise FeatureError(f"epoch must have {ERP_SAMPLES} samples, got {epoch.shape}")
     step_ms = 1000.0 / ERP_FS_OUT
     t_ms = np.arange(ERP_SAMPLES) * step_ms
-    out = np.empty(len(spec.windows) * len(ERP_STATS))
-    for w, (start, end) in enumerate(spec.windows):
+    out = np.empty(len(ERP_WINDOWS_MS) * len(ERP_STATS))
+    for w, (start, end) in enumerate(ERP_WINDOWS_MS):
         seg = epoch[(t_ms >= start) & (t_ms < end)]
         if seg.size < 1:
             raise FeatureError(f"window ({start}, {end}) ms selects no samples")
@@ -227,19 +213,9 @@ def db_normalize(
     return 10.0 * np.log10(np.maximum(power, floor) / np.maximum(baseline_power, floor))
 
 
-def tf_features(rec: Recording, bank: WaveletBank | None = None) -> np.ndarray:
-    """[n_trials, 56] statistics of per-trial dB maps (7 per channel)."""
-    return _tf_extract(rec, bank)[0]
-
-
-def tf_features_with_class_maps(
-    rec: Recording, bank: WaveletBank | None = None
-) -> tuple[np.ndarray, dict]:
-    """tf_features plus {channel: {label: mean dB map}} for report heatmaps."""
-    return _tf_extract(rec, bank)
-
-
 def _tf_extract(rec: Recording, bank: WaveletBank | None):
+    """[n_trials, 56] statistics of per-trial dB maps (7 per channel), plus
+    {channel: {label: mean dB map}} for the report heatmaps."""
     if bank is None:
         bank = build_wavelet_bank(fs=rec.fs)
     fs_i = int(round(rec.fs))
@@ -351,10 +327,10 @@ def hilbert_features(rec: Recording, bands=DEFAULT_BANDS) -> np.ndarray:
 # -- assembly ------------------------------------------------------------------
 
 
-def column_names(bands=DEFAULT_BANDS, spec: WindowSpec = DEFAULT_WINDOWS) -> tuple[str, ...]:
+def column_names(bands=DEFAULT_BANDS) -> tuple[str, ...]:
     names = []
     for ch in CHANNELS:
-        for start, end in spec.windows:
+        for start, end in ERP_WINDOWS_MS:
             for stat in ERP_STATS:
                 names.append(f"erp:{ch}:w{start:04d}_{end:04d}:{stat}")
     names.extend(f"lda:{ch}:proj" for ch in CHANNELS)
@@ -441,11 +417,6 @@ def extract_features(
     return fm, class_maps
 
 
-def assemble(rec: Recording, bank: WaveletBank | None = None, bands=DEFAULT_BANDS) -> FeatureMatrix:
-    """Feature matrix with LDA columns left as placeholders (filled per fold)."""
-    return extract_features(rec, bank, bands)[0]
-
-
 # -- persistence ---------------------------------------------------------------
 
 FEATURES_CSV = "features.csv"
@@ -462,8 +433,7 @@ def write_feature_matrix(fm: FeatureMatrix, path) -> None:
         lines.append(f"{row},{fm.labels[i]},{int(fm.block_of[i])}")
     (out / FEATURES_CSV).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    header = [f"{ch}:s{j:02d}" for ch in CHANNELS for j in range(ERP_SAMPLES)]
-    lines = [",".join(header) + ",label,block"]
+    lines = [",".join(_epoch_columns()) + ",label,block"]
     for i in range(fm.erp.n_trials):
         row = ",".join(repr(float(v)) for v in fm.erp.data[i].ravel())
         lines.append(f"{row},{fm.erp.labels[i]},{int(fm.erp.block_of[i])}")
@@ -482,7 +452,18 @@ def load_feature_matrix(path) -> FeatureMatrix:
     if tuple(cols) != column_names():
         raise FeatureError(f"{feat_path}: unexpected feature columns")
     ep_cols, ep_values, ep_labels, ep_blocks = _read_table(ep_path)
+    if tuple(ep_cols) != _epoch_columns():
+        raise FeatureError(f"{ep_path}: unexpected epoch columns")
     n = len(labels)
+    if len(ep_labels) != n:
+        raise FeatureError(f"{ep_path}: {len(ep_labels)} trials, {feat_path} has {n}")
+    bad = np.flatnonzero((ep_labels != labels) | (ep_blocks != blocks))
+    if bad.size:
+        i = int(bad[0])
+        raise FeatureError(
+            f"{ep_path}:{i + 2}: trial ({ep_labels[i]}, block {ep_blocks[i]}) does not "
+            f"match {feat_path}:{i + 2} ({labels[i]}, block {blocks[i]})"
+        )
     data = ep_values.reshape(n, len(CHANNELS), ERP_SAMPLES)
     erp = ErpEpochs(data=data, fs_out=ERP_FS_OUT, labels=ep_labels, block_of=ep_blocks)
     return FeatureMatrix(
@@ -490,7 +471,13 @@ def load_feature_matrix(path) -> FeatureMatrix:
     )
 
 
+def _epoch_columns() -> tuple[str, ...]:
+    return tuple(f"{ch}:s{j:02d}" for ch in CHANNELS for j in range(ERP_SAMPLES))
+
+
 def _read_table(path: Path):
+    """Header columns, float values, labels and blocks of a label,block CSV;
+    a malformed row fails naming path:line."""
     lines = path.read_text(encoding="utf-8").rstrip("\n").split("\n")
     header = lines[0].split(",")
     if header[-2:] != ["label", "block"]:
@@ -501,12 +488,18 @@ def _read_table(path: Path):
     labels = np.empty(n, dtype="U5")
     blocks = np.empty(n, dtype=np.int64)
     for i, line in enumerate(lines[1:]):
+        where = f"{path}:{i + 2}"
         parts = line.split(",")
         if len(parts) != len(header):
-            raise FeatureError(f"{path}: row {i + 2} has {len(parts)} fields")
-        values[i] = [float(v) for v in parts[:-2]]
+            raise FeatureError(f"{where}: {len(parts)} fields, expected {len(header)}")
+        if parts[-2] not in CLASS_LABELS:
+            raise FeatureError(f"{where}: label {parts[-2]!r} not in {CLASS_LABELS}")
+        try:
+            values[i] = [float(v) for v in parts[:-2]]
+            blocks[i] = int(parts[-1])
+        except ValueError as e:
+            raise FeatureError(f"{where}: {e}") from e
         labels[i] = parts[-2]
-        blocks[i] = int(parts[-1])
     return cols, values, labels, blocks
 
 

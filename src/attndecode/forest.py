@@ -255,7 +255,3 @@ def rf_predict_proba(model: RfModel, x: np.ndarray) -> np.ndarray:
             c = tree.counts[tree.leaf_for(x[i])]
             out[i] += c[1] / (c[0] + c[1])
     return out / len(model.trees)
-
-
-def rf_predict(model: RfModel, x: np.ndarray) -> np.ndarray:
-    return (rf_predict_proba(model, x) >= 0.5).astype(np.int64)

@@ -1,4 +1,4 @@
-"""Core domain types: multi-channel recordings, trial epochs, frequency bands.
+"""Core domain types: multi-channel recordings and frequency bands.
 
 A recording is one subject's continuous 8-channel EEG session, annotated
 sample-by-sample with the block structure of the experiment (cue, baseline,
@@ -214,47 +214,3 @@ class Recording:
             raise RecordingError(f"block {b}: {phase} phase is not contiguous")
         return slice(int(idx[0]), int(idx[-1]) + 1)
 
-
-@dataclass(frozen=True, eq=False)
-class EpochSet:
-    """Per-trial signal segments: [n_trials, n_channels, n_samples] plus labels."""
-
-    epochs: np.ndarray
-    fs: float
-    labels: np.ndarray
-    block_of: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "epochs", _frozen_array(self.epochs, float))
-        object.__setattr__(self, "labels", _frozen_array(self.labels, "U5"))
-        object.__setattr__(self, "block_of", _frozen_array(self.block_of, np.int64))
-        if self.epochs.ndim != 3:
-            raise RecordingError(f"epochs must be 3-D, got shape {self.epochs.shape}")
-        n = self.epochs.shape[0]
-        if self.labels.shape != (n,) or self.block_of.shape != (n,):
-            raise RecordingError("labels/block_of length must match trial count")
-        bad = set(np.unique(self.labels)) - set(CLASS_LABELS)
-        if bad:
-            raise RecordingError(f"epoch labels must be face/scene, got {sorted(bad)}")
-
-    @property
-    def n_trials(self) -> int:
-        return self.epochs.shape[0]
-
-
-def extract_epochs(rec: Recording) -> EpochSet:
-    """Slice a recording's activity into the trial-major epoch tensor."""
-    fs_i = int(round(rec.fs))
-    n_trials = rec.n_trials
-    epochs = np.empty((n_trials, rec.n_channels, fs_i))
-    labels = np.empty(n_trials, dtype="U5")
-    block_of = np.empty(n_trials, dtype=np.int64)
-    i = 0
-    for b in range(rec.n_blocks):
-        for t in range(rec.trials_per_block):
-            sl = rec.trial_slice(b, t)
-            epochs[i] = rec.samples[:, sl]
-            labels[i] = rec.block_labels[b]
-            block_of[i] = b
-            i += 1
-    return EpochSet(epochs=epochs, fs=rec.fs, labels=labels, block_of=block_of)

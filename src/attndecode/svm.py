@@ -256,7 +256,3 @@ def svm_decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
     # einsum keeps each row's reduction order fixed, preserving row-wise
     # determinism under permutation/duplication of x.
     return np.einsum("ij,j->i", k, model.dual_coef) + model.bias
-
-
-def svm_predict(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    return np.where(svm_decision(model, x) >= 0.0, 1.0, -1.0)

@@ -214,9 +214,16 @@ def test_criterion_7_determinism(tmp_path, easy_fm):
                      "--model", "both", "--trials", "2", "--seed", "5"]) == 0
         assert main(["evaluate", "--data", str(root / "f"), "--studies", str(root / "s"),
                      "--out", str(root / "r"), "--model", "both", "--seed", "5"]) == 0
-        outputs.append((root / "r" / "results.json").read_bytes())
-    assert outputs[0] == outputs[1]
-    json.loads(outputs[0])  # parses
+        outputs.append({
+            p.relative_to(root).as_posix(): p.read_bytes()
+            for stage in ("ds", "pre", "f", "s", "r")
+            for p in sorted((root / stage).rglob("*"))
+            if p.is_file()
+        })
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    for name, data in outputs[0].items():
+        assert data == outputs[1][name], f"{name} differs between same-seed runs"
+    json.loads(outputs[0]["r/results.json"])  # parses
 
     # model serialization round-trips preserve predictions exactly
     for kind, params in (
@@ -229,4 +236,5 @@ def test_criterion_7_determinism(tmp_path, easy_fm):
         a = model.decision(easy_fm.values, easy_fm.erp.data)
         b = loaded.decision(easy_fm.values, easy_fm.erp.data)
         np.testing.assert_array_equal(a, b)
-    report("7 determinism", "byte-identical results.json; serialized predictions exact")
+    report("7 determinism", f"{len(outputs[0])} artifacts byte-identical; "
+           "serialized predictions exact")

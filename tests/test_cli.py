@@ -3,6 +3,7 @@ import json
 import pytest
 
 from attndecode.cli import RunConfig, CliError, main
+from attndecode.recording import DEFAULT_BANDS
 
 
 def run(argv):
@@ -164,3 +165,35 @@ def test_config_file_threads_through(tmp_path, capsys):
     assert code == 0
     meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
     assert meta["seed"] == 9  # config seed used when flag absent
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"bogus": 1, "seed": 2}', "unknown config keys ['bogus']"),
+        ("{nope", "Expecting property name"),
+        ("[1, 2]", "config must be a JSON object"),
+    ],
+    ids=["unknown_key", "invalid_json", "not_an_object"],
+)
+def test_bad_config_file_fails_in_one_line_naming_it(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code = run(["synth", "--config", str(path), "--out", str(tmp_path / "ds")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: synth: {path}: ")
+    assert message in err
+    assert "\n" not in err.strip()
+    assert not (tmp_path / "ds").exists()
+
+
+def test_runconfig_requires_default_band_names_in_order():
+    bands = [[b.name, b.lo, b.hi] for b in DEFAULT_BANDS]
+    RunConfig(bands=[[name, lo + 0.5, hi] for name, lo, hi in bands])  # edges may move
+    with pytest.raises(CliError, match="bands must be named"):
+        RunConfig(bands=[["d", 1.0, 4.0]] + bands[1:])
+    with pytest.raises(CliError, match="bands must be named"):
+        RunConfig(bands=bands[1:] + bands[:1])
+    with pytest.raises(CliError, match="bands must be named"):
+        RunConfig(bands=bands[:4])

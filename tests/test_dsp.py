@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from attndecode import (
     filtfilt,
     knn_smooth,
     preprocess,
-    zscore_global,
 )
 
 FS = 250.0
@@ -274,23 +275,15 @@ def test_baseline_correct_examples():
         baseline_correct(x, np.array([]))
 
 
-def test_zscore_global_definition_and_idempotence():
-    rng = np.random.default_rng(2)
-    x = 3.0 + 2.0 * rng.standard_normal((8, 4000))
-    z = zscore_global(x)
-    np.testing.assert_allclose(z.mean(axis=1), 0.0, atol=1e-9)
-    np.testing.assert_allclose(z.std(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(zscore_global(z), z, atol=1e-9)
-
-
-def test_zscore_global_zero_variance_channel():
-    x = np.ones((8, 100))
-    x[:7] += np.random.default_rng(0).standard_normal((7, 100))
-    with pytest.raises(DspError, match="zero-variance"):
-        zscore_global(x)
-
-
 # -- full preprocessing chain ---------------------------------------------------------
+
+
+def test_preprocess_flat_channel_names_it(small_easy_rec):
+    samples = np.array(small_easy_rec.samples)
+    samples[5] = 0.0  # PO7 carries no signal at all
+    rec = dataclasses.replace(small_easy_rec, samples=samples)
+    with pytest.raises(DspError, match="channel PO7: zero variance"):
+        preprocess(rec)
 
 
 def test_preprocess_deterministic(small_easy_rec):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from attndecode import (
     EvalError,
+    FoldTransform,
     ModelSpec,
     cross_validate,
     load_model,
@@ -243,6 +246,42 @@ def test_lda_columns_filled_at_fold_time():
     fm = make_feature_matrix(60, rng, erp_gap=1.0)
     rep = cross_validate(fm, SVM_SPEC, seed=7)
     assert rep.mean_accuracy >= 0.9
+
+
+def _transform_arrays(ft):
+    return [getattr(ft, f.name) for f in dataclasses.fields(ft)]
+
+
+def test_fold_transform_fit_never_reads_held_out_rows():
+    rng = np.random.default_rng(18)
+    fm = make_feature_matrix(40, rng, planted_col=4, erp_gap=1.0)
+    train_idx, held = np.arange(30), np.arange(30, 40)
+    values = np.array(fm.values)
+    values[held] = 100.0 * rng.standard_normal((10, N_FEATURES))
+    erp = np.array(fm.erp.data)
+    erp[held] = 100.0 * rng.standard_normal((10, len(CHANNELS), ERP_SAMPLES))
+    labels = np.array(fm.labels)
+    labels[held] = np.where(labels[held] == "face", "scene", "face")
+    changed = dataclasses.replace(
+        fm,
+        values=values,
+        labels=labels,
+        erp=dataclasses.replace(fm.erp, data=erp, labels=labels),
+    )
+    a = _transform_arrays(FoldTransform.fit(fm, train_idx))
+    b = _transform_arrays(FoldTransform.fit(changed, train_idx))
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("spec", [SVM_SPEC, RF_SPEC], ids=["svm", "rf"])
+def test_full_model_transform_is_fit_on_every_row(spec):
+    rng = np.random.default_rng(19)
+    fm = make_feature_matrix(40, rng, planted_col=2, erp_gap=0.5)
+    model = train_full_model(fm, spec, seed=2)
+    ref = FoldTransform.fit(fm, np.arange(fm.n_trials))
+    for x, y in zip(_transform_arrays(model.transform), _transform_arrays(ref)):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_fold_failure_reports_fold_id(monkeypatch):

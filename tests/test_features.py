@@ -238,7 +238,7 @@ def test_tf_face_trials_peak_in_theta_on_po7(twoblock_full_fm):
 
 
 def test_tf_scale_invariance_of_db_maps(small_easy_pre):
-    from attndecode import tf_features
+    from attndecode.features import _tf_extract
 
     rec = small_easy_pre
     scaled = np.array(rec.samples)
@@ -247,8 +247,8 @@ def test_tf_scale_invariance_of_db_maps(small_easy_pre):
     import dataclasses
 
     rec3 = dataclasses.replace(rec, samples=scaled)
-    a = tf_features(rec)
-    b = tf_features(rec3)
+    a, _ = _tf_extract(rec, None)
+    b, _ = _tf_extract(rec3, None)
     block0 = np.flatnonzero(np.arange(16) < 8)
     np.testing.assert_allclose(a[block0], b[block0], rtol=1e-9, atol=1e-9)
 
@@ -374,6 +374,38 @@ def test_load_feature_matrix_missing_artifact(tmp_path):
         load_feature_matrix(tmp_path)
 
 
+def _set_field(row, pos, value):
+    def edit(lines):
+        parts = lines[row].split(",")
+        parts[pos] = value
+        return lines[:row] + [",".join(parts)] + lines[row + 1 :]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        # a label outside face/scene must not be truncated and read as scene
+        ("features.csv", _set_field(2, -2, "scenery"), r"features\.csv:3: label 'scenery'"),
+        ("features.csv", _set_field(3, 7, "n/a"), r"features\.csv:4: could not convert"),
+        ("erp_epochs.csv", _set_field(4, -1, "x"), r"erp_epochs\.csv:5: invalid literal"),
+        ("erp_epochs.csv", lambda ls: ls[:-1], r"erp_epochs\.csv: 15 trials, .* has 16"),
+        # same trial count, but the epochs belong to other trials
+        ("erp_epochs.csv", lambda ls: ls[:1] + ls[9:17] + ls[1:9],
+         r"erp_epochs\.csv:2: trial \(\w+, block 1\) does not match .*features\.csv:2"),
+    ],
+    ids=["unknown_label", "non_numeric", "bad_block", "fewer_epochs", "epochs_misaligned"],
+)
+def test_load_feature_matrix_rejects_bad_rows(tmp_path, small_easy_fm, name, edit, message):
+    write_feature_matrix(small_easy_fm, tmp_path)
+    path = tmp_path / name
+    lines = edit(path.read_text().rstrip("\n").split("\n"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FeatureError, match=message):
+        load_feature_matrix(tmp_path)
+
+
 def test_assemble_reports_non_finite(monkeypatch, small_easy_pre):
     import attndecode.features as fmod
 
@@ -386,4 +418,4 @@ def test_assemble_reports_non_finite(monkeypatch, small_easy_pre):
 
     monkeypatch.setattr(fmod, "hilbert_features", poisoned)
     with pytest.raises(FeatureError, match="non-finite hilb feature"):
-        fmod.assemble(small_easy_pre)
+        fmod.extract_features(small_easy_pre)

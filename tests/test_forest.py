@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attndecode import RfHyperParams, rf_predict, rf_predict_proba, rf_train
+from attndecode import RfHyperParams, rf_predict_proba, rf_train
 from attndecode.forest import (
     ForestError,
     RfModel,
@@ -81,7 +81,7 @@ def test_threshold_separable_every_tree_perfect():
     for tree in model.trees:
         proba = np.array([tree.counts[tree.leaf_for(r)][1] / tree.counts[tree.leaf_for(r)].sum() for r in x])
         assert np.array_equal((proba >= 0.5).astype(int), y)
-    assert np.array_equal(rf_predict(model, x), y)
+    assert np.array_equal((rf_predict_proba(model, x) >= 0.5).astype(int), y)
 
 
 def test_impurity_identities():

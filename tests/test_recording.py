@@ -9,7 +9,6 @@ from attndecode import (
     Recording,
     RecordingError,
     SynthConfig,
-    extract_epochs,
     load_recording,
     synthesize,
     write_recording,
@@ -144,16 +143,18 @@ def test_phase_and_trial_structure(small_easy_rec):
         assert rest.stop - rest.start == 10 * fs
 
 
-def test_extract_epochs(small_easy_rec):
-    ep = extract_epochs(small_easy_rec)
-    fs = int(small_easy_rec.fs)
-    assert ep.epochs.shape == (16, 8, fs)
-    assert ep.n_trials == small_easy_rec.n_blocks * small_easy_rec.trials_per_block
-    # first trial of block 1 must equal the raw slice
-    sl = small_easy_rec.trial_slice(1, 0)
-    np.testing.assert_array_equal(ep.epochs[8], small_easy_rec.samples[:, sl])
-    assert ep.labels[8] == small_easy_rec.block_labels[1]
-    assert ep.block_of[8] == 1
+def test_trial_slice_covers_one_annotated_trial(small_easy_rec):
+    rec = small_easy_rec
+    fs = int(rec.fs)
+    assert rec.n_trials == 16
+    for b in range(rec.n_blocks):
+        act = rec.phase_slice(b, "activity")
+        for t in range(rec.trials_per_block):
+            sl = rec.trial_slice(b, t)
+            assert (sl.start, sl.stop) == (act.start + t * fs, act.start + (t + 1) * fs)
+            np.testing.assert_array_equal(rec.trial[sl], t)
+            np.testing.assert_array_equal(rec.block[sl], b)
+            np.testing.assert_array_equal(rec.label[sl], rec.block_labels[b])
 
 
 def test_recording_arrays_immutable(small_easy_rec):
