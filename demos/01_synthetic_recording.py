@@ -30,7 +30,8 @@ alpha = {"face": [], "scene": []}
 for b in range(rec.n_blocks):
     lab = rec.block_labels[b]
     for t in range(rec.trials_per_block):
-        x = rec.samples[c, rec.trial_slice(b, t)]
+        start = rec.trial_starts()[b, t]
+        x = rec.samples[c, start : start + int(rec.fs)]
         theta[lab].append(band_power(x, rec.fs, 4, 8))
         alpha[lab].append(band_power(x, rec.fs, 8, 14))
 

@@ -208,6 +208,7 @@ def cmd_evaluate(args) -> int:
     studies: dict[str, tune.Study] = {}
     evals: dict[str, evaluate.EvalReport] = {}
     out.mkdir(parents=True, exist_ok=True)
+    plan = evaluate.build_cv_plan(fm, cfg.seed)
     for kind in _model_kinds(cfg.model):
         journal = studies_dir / f"study_{kind}.jsonl"
         if not journal.is_file():
@@ -217,7 +218,7 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"{journal}: study has no completed trials")
         studies[kind] = study
         spec = evaluate.ModelSpec(kind, study.best_trial.params)
-        evals[kind] = evaluate.cross_validate(fm, spec, seed=cfg.seed)
+        evals[kind] = evaluate.evaluate_on_plan(plan, spec, cfg.seed)
         model = evaluate.train_full_model(fm, spec, seed=cfg.seed)
         evaluate.save_model(model, out / f"model_{kind}.json")
 

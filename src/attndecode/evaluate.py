@@ -6,13 +6,14 @@ column on training statistics only, train the classifier, then score the
 held-out trials. Test scores are pooled across folds for one ROC/AUC.
 Since folds, LDA and standardization do not depend on the hyperparameters,
 they are computed once per (matrix, seed) in a CvPlan and shared across a
-tuning study's trials.
+tuning study's trials and across the model kinds that evaluate scores.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +213,11 @@ class _Fold:
     x_test: np.ndarray
     y_train: np.ndarray
     y_test: np.ndarray
-    d2_train: np.ndarray
+
+    @cached_property
+    def d2_train(self) -> np.ndarray:
+        """Squared train-train distances, computed when an SVM first reads them."""
+        return squared_distances(self.x_train, self.x_train)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,15 +235,13 @@ def build_cv_plan(fm: FeatureMatrix, seed: int, k: int = N_FOLDS) -> CvPlan:
     for test_idx in test_sets:
         train_idx = np.setdiff1d(all_idx, test_idx)
         ft = FoldTransform.fit(fm, train_idx)
-        x_tr = ft.transform(fm.values[train_idx], fm.erp.data[train_idx])
         folds.append(
             _Fold(
                 test_idx=test_idx,
-                x_train=x_tr,
+                x_train=ft.transform(fm.values[train_idx], fm.erp.data[train_idx]),
                 x_test=ft.transform(fm.values[test_idx], fm.erp.data[test_idx]),
                 y_train=y[train_idx],
                 y_test=y[test_idx],
-                d2_train=squared_distances(x_tr, x_tr),
             )
         )
     return CvPlan(folds=tuple(folds), y=y, seed=seed)

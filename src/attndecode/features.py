@@ -13,6 +13,7 @@ into held-out trials.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +42,13 @@ DB_POWER_FLOOR = 1e-12
 # mid-range windows, an extended period, and the full epoch.
 ERP_WINDOWS_MS = (
     (0, 50), (80, 210), (240, 350), (400, 500), (520, 630), (650, 900), (0, 1000)
+)
+
+# The windows as basic slices of the epoch (sample k is at k / ERP_FS_OUT s);
+# a basic slice keeps each row's reductions bit-equal to a 1-D call.
+_ERP_WINDOW_SLICES = tuple(
+    slice(math.ceil(start * ERP_FS_OUT / 1000), math.ceil(end * ERP_FS_OUT / 1000))
+    for start, end in ERP_WINDOWS_MS
 )
 
 N_ERP_STAT_COLS = len(CHANNELS) * len(ERP_WINDOWS_MS) * len(ERP_STATS)  # 336
@@ -91,52 +99,40 @@ def erp_epochs(rec: Recording) -> ErpEpochs:
     filt = design_butterworth_bandpass(ERP_FILTER_ORDER, *ERP_BAND, fs=rec.fs)
     filtered = np.stack([filtfilt(filt, rec.samples[c]) for c in range(rec.n_channels)])
 
-    n_trials = rec.n_trials
-    data = np.empty((n_trials, rec.n_channels, ERP_SAMPLES))
-    labels = np.empty(n_trials, dtype="U5")
-    block_of = np.empty(n_trials, dtype=np.int64)
-    i = 0
-    for b in range(rec.n_blocks):
-        for t in range(rec.trials_per_block):
-            sl = rec.trial_slice(b, t)
-            data[i] = filtered[:, sl][:, ::decim]
-            labels[i] = rec.block_labels[b]
-            block_of[i] = b
-            i += 1
-    return ErpEpochs(data=data, fs_out=ERP_FS_OUT, labels=labels, block_of=block_of)
+    starts = rec.trial_starts().ravel()
+    gathered = filtered[:, starts[:, None] + np.arange(0, fs_i, decim)]
+    return ErpEpochs(
+        data=np.ascontiguousarray(gathered.transpose(1, 0, 2)),
+        fs_out=ERP_FS_OUT,
+        labels=np.repeat(np.array(rec.block_labels, dtype="U5"), rec.trials_per_block),
+        block_of=np.repeat(np.arange(rec.n_blocks, dtype=np.int64), rec.trials_per_block),
+    )
 
 
-def window_stats(epoch: np.ndarray) -> np.ndarray:
-    """The 6 statistics for each ERP window of one 50-sample channel epoch.
+def window_stats(epochs: np.ndarray) -> np.ndarray:
+    """The 6 statistics per ERP window of channel epochs, [..., 50] -> [..., 42].
 
     Per window, in order: mean, population variance, population std,
     peak-to-peak, zero crossings (consecutive pairs with strictly negative
     product), and strict interior local maxima.
     """
-    epoch = np.asarray(epoch, float)
-    if epoch.shape != (ERP_SAMPLES,):
-        raise FeatureError(f"epoch must have {ERP_SAMPLES} samples, got {epoch.shape}")
-    step_ms = 1000.0 / ERP_FS_OUT
-    t_ms = np.arange(ERP_SAMPLES) * step_ms
-    out = np.empty(len(ERP_WINDOWS_MS) * len(ERP_STATS))
-    for w, (start, end) in enumerate(ERP_WINDOWS_MS):
-        seg = epoch[(t_ms >= start) & (t_ms < end)]
-        if seg.size < 1:
-            raise FeatureError(f"window ({start}, {end}) ms selects no samples")
-        var = seg.var()
-        zc = int(np.sum(seg[:-1] * seg[1:] < 0.0))
-        peaks = 0
-        if seg.size >= 3:
-            peaks = int(np.sum((seg[1:-1] > seg[:-2]) & (seg[1:-1] > seg[2:])))
-        out[w * 6 : w * 6 + 6] = (
-            seg.mean(),
+    epochs = np.asarray(epochs, float)
+    if epochs.ndim < 1 or epochs.shape[-1] != ERP_SAMPLES:
+        raise FeatureError(f"epochs must end in {ERP_SAMPLES} samples, got {epochs.shape}")
+    stats = []
+    for window in _ERP_WINDOW_SLICES:
+        seg = epochs[..., window]
+        mid = seg[..., 1:-1]
+        var = seg.var(axis=-1)
+        stats += (
+            seg.mean(axis=-1),
             var,
             np.sqrt(var),
-            seg.max() - seg.min(),
-            zc,
-            peaks,
+            seg.max(axis=-1) - seg.min(axis=-1),
+            np.sum(seg[..., :-1] * seg[..., 1:] < 0.0, axis=-1),
+            np.sum((mid > seg[..., :-2]) & (mid > seg[..., 2:]), axis=-1),
         )
-    return out
+    return np.stack(stats, axis=-1).astype(float)
 
 
 # -- Fisher LDA (one projection per channel) --------------------------------
@@ -181,20 +177,22 @@ def lda_project(w: np.ndarray, b: float, epochs: np.ndarray) -> np.ndarray:
 # -- statistics helpers ------------------------------------------------------
 
 
-def _skewness(x: np.ndarray) -> float:
-    m = x.mean()
-    m2 = np.mean((x - m) ** 2)
-    if m2 == 0.0:
-        return 0.0
-    return float(np.mean((x - m) ** 3) / m2**1.5)
-
-
-def _excess_kurtosis(x: np.ndarray) -> float:
-    m = x.mean()
-    m2 = np.mean((x - m) ** 2)
-    if m2 == 0.0:
-        return 0.0
-    return float(np.mean((x - m) ** 4) / m2**2 - 3.0)
+def _moments(x: np.ndarray):
+    """Mean, variance, skewness, energy and excess kurtosis over the last
+    axis; a flat slice (zero variance) has skewness and kurtosis 0."""
+    mean = x.mean(axis=-1)
+    d = x - mean[..., None]
+    m2 = np.mean(d**2, axis=-1)
+    flat = m2 == 0.0
+    # m2**1.5 and m2**2 are raised one Python float at a time: numpy's array
+    # ** (and m2 * m2) can differ from scalar pow in the last bit, which would
+    # move the features off their per-slice values.
+    safe = np.where(flat, 1.0, m2).ravel().tolist()
+    norm3 = np.reshape([v**1.5 for v in safe], m2.shape)
+    norm4 = np.reshape([v**2 for v in safe], m2.shape)
+    skew = np.where(flat, 0.0, np.mean(d**3, axis=-1) / norm3)
+    kurt = np.where(flat, 0.0, np.mean(d**4, axis=-1) / norm4 - 3.0)
+    return mean, m2, skew, np.sum(x**2, axis=-1), kurt
 
 
 # -- time-frequency features -------------------------------------------------
@@ -203,7 +201,8 @@ def _excess_kurtosis(x: np.ndarray) -> float:
 def db_normalize(
     power: np.ndarray, baseline_power: np.ndarray, floor: float = DB_POWER_FLOOR
 ) -> np.ndarray:
-    """Power map [n_freqs, n_t] to dB relative to per-frequency baseline power.
+    """Power maps [..., n_freqs, n_t] to dB relative to per-frequency
+    baseline power.
 
     dB = 10 log10(activity / baseline); values below the floor are clamped
     first so the map stays finite.
@@ -220,59 +219,49 @@ def _tf_extract(rec: Recording, bank: WaveletBank | None):
         bank = build_wavelet_bank(fs=rec.fs)
     fs_i = int(round(rec.fs))
     edge = fs_i // 2  # 0.5 s trimmed from each end of the baseline
-    n_trials = rec.n_trials
-    feats = np.empty((n_trials, N_TF_COLS))
+    tpb = rec.trials_per_block
+    feats = np.empty((rec.n_trials, N_TF_COLS))
     map_sum = {
         ch: {lab: np.zeros((bank.n_freqs, fs_i)) for lab in CLASS_LABELS}
         for ch in rec.channels
     }
-    n_by_label = {lab: 0 for lab in CLASS_LABELS}
     n_floored = 0
 
-    for c, ch in enumerate(rec.channels):
-        for b in range(rec.n_blocks):
-            whole = rec.block_slice(b)
+    for b in range(rec.n_blocks):
+        whole = rec.block_slice(b)
+        base = rec.phase_slice(b, "baseline")
+        if base.stop - base.start <= 2 * edge:
+            raise FeatureError(f"block {b} baseline too short to trim 0.5 s per edge")
+        b0 = base.start - whole.start + edge
+        b1 = base.stop - whole.start - edge
+        window = rec.trial_starts()[b, :, None] - whole.start + np.arange(fs_i)
+        rows = slice(b * tpb, (b + 1) * tpb)
+        lab = rec.block_labels[b]
+        for c, ch in enumerate(rec.channels):
             power = cwt_power(rec.samples[c, whole], bank)
-            base = rec.phase_slice(b, "baseline")
-            if base.stop - base.start <= 2 * edge:
-                raise FeatureError(
-                    f"block {b} baseline too short to trim 0.5 s per edge"
-                )
-            b0 = base.start - whole.start
-            b1 = base.stop - whole.start
-            base_power = power[:, b0 + edge : b1 - edge].mean(axis=1)
+            base_power = power[:, b0:b1].mean(axis=1)
             n_floored += int(np.sum(base_power < DB_POWER_FLOOR))
             base_power = np.maximum(base_power, DB_POWER_FLOOR)
-
-            act = rec.phase_slice(b, "activity")
-            a0 = act.start - whole.start
-            lab = rec.block_labels[b]
-            for t in range(rec.trials_per_block):
-                lo = a0 + t * fs_i
-                db = db_normalize(power[:, lo : lo + fs_i], base_power)
-                trial_idx = b * rec.trials_per_block + t
-                temporal_mean = db.mean(axis=1)
-                peak = int(np.argmax(temporal_mean))  # ties resolve low
-                feats[trial_idx, c * 7 : c * 7 + 7] = (
-                    db.mean(),
-                    db.var(),
-                    bank.freqs[peak],
-                    temporal_mean[peak],
-                    _skewness(db.ravel()),
-                    float(np.sum(db**2)),
-                    _excess_kurtosis(db.ravel()),
-                )
-                map_sum[ch][lab] += db
-                if c == 0:
-                    n_by_label[lab] += 1
+            # [trials, freqs, time]
+            trials = np.ascontiguousarray(power[:, window].transpose(1, 0, 2))
+            db = db_normalize(trials, base_power)
+            temporal_mean = db.mean(axis=-1)
+            peak = np.argmax(temporal_mean, axis=-1)  # ties resolve low
+            mean, var, skew, energy, kurt = _moments(db.reshape(tpb, -1))
+            feats[rows, c * 7 : c * 7 + 7] = np.column_stack(
+                (mean, var, bank.freqs[peak], temporal_mean[np.arange(tpb), peak],
+                 skew, energy, kurt)
+            )
+            # one trial at a time, in trial order: a per-block partial sum
+            # would round differently
+            for m in db:
+                map_sum[ch][lab] += m
 
     if n_floored:
         log.warning("floored %d near-zero baseline power values", n_floored)
     class_maps = {
-        ch: {
-            lab: map_sum[ch][lab] / max(n_by_label[lab], 1) for lab in CLASS_LABELS
-        }
-        for ch in rec.channels
+        ch: {lab: m / max(tpb * rec.block_labels.count(lab), 1) for lab, m in per.items()}
+        for ch, per in map_sum.items()
     }
     return feats, class_maps
 
@@ -280,19 +269,14 @@ def _tf_extract(rec: Recording, bank: WaveletBank | None):
 # -- Hilbert envelope features ------------------------------------------------
 
 
-def envelope_statistics(seg: np.ndarray) -> np.ndarray:
-    """mean, median, std, skewness, energy, excess kurtosis of one envelope
-    slice; the zero-variance rule maps skew/kurtosis of a flat slice to 0."""
-    seg = np.asarray(seg, float)
-    return np.array(
-        (
-            seg.mean(),
-            float(np.median(seg)),
-            seg.std(),
-            _skewness(seg),
-            float(np.sum(seg**2)),
-            _excess_kurtosis(seg),
-        )
+def envelope_statistics(env: np.ndarray) -> np.ndarray:
+    """mean, median, std, skewness, energy, excess kurtosis of envelope
+    slices, [..., n] -> [..., 6]; the zero-variance rule maps skew/kurtosis
+    of a flat slice to 0."""
+    env = np.asarray(env, float)
+    mean, var, skew, energy, kurt = _moments(env)
+    return np.stack(
+        (mean, np.median(env, axis=-1), np.sqrt(var), skew, energy, kurt), axis=-1
     )
 
 
@@ -305,22 +289,19 @@ def hilbert_features(rec: Recording, bands=DEFAULT_BANDS) -> np.ndarray:
     if len(bands) != len(DEFAULT_BANDS):
         raise FeatureError(f"expected {len(DEFAULT_BANDS)} bands, got {len(bands)}")
     fs_i = int(round(rec.fs))
-    n_trials = rec.n_trials
-    n_bands = len(bands)
-    feats = np.empty((n_trials, N_HILBERT_COLS))
-    for c in range(rec.n_channels):
-        for k, band in enumerate(bands):
-            for b in range(rec.n_blocks):
-                act = rec.phase_slice(b, "activity")
+    tpb = rec.trials_per_block
+    feats = np.empty((rec.n_trials, N_HILBERT_COLS))
+    for b, first in enumerate(rec.trial_starts()[:, 0]):
+        act = slice(first, first + tpb * fs_i)
+        rows = slice(b * tpb, (b + 1) * tpb)
+        for c in range(rec.n_channels):
+            for k, band in enumerate(bands):
                 try:
                     env = analytic_envelope(rec.samples[c, act], band, rec.fs)
                 except DspError as e:
                     raise FeatureError(f"band {band.name!r}: {e}") from e
-                for t in range(rec.trials_per_block):
-                    seg = env[t * fs_i : (t + 1) * fs_i]
-                    trial_idx = b * rec.trials_per_block + t
-                    col = c * n_bands * 6 + k * 6
-                    feats[trial_idx, col : col + 6] = envelope_statistics(seg)
+                col = (c * len(bands) + k) * 6
+                feats[rows, col : col + 6] = envelope_statistics(env.reshape(tpb, fs_i))
     return feats
 
 
@@ -386,9 +367,7 @@ def extract_features(
     ep = erp_epochs(rec)
     n = ep.n_trials
     values = np.zeros((n, N_FEATURES))
-    for i in range(n):
-        for c in range(len(CHANNELS)):
-            values[i, c * 42 : (c + 1) * 42] = window_stats(ep.data[i, c])
+    values[:, :N_ERP_STAT_COLS] = window_stats(ep.data).reshape(n, N_ERP_STAT_COLS)
 
     tf, class_maps = _tf_extract(rec, bank)
     values[:, TF_COL_START : TF_COL_START + N_TF_COLS] = tf
@@ -519,20 +498,37 @@ def write_tf_class_maps(class_maps: dict, freqs: np.ndarray, path) -> None:
 
 
 def load_tf_class_maps(path) -> tuple[dict, np.ndarray]:
+    """{channel: {label: [n_freqs, n_t] map}} and the frequencies. A bad row
+    fails naming path:line; the file must hold every channel x label pair,
+    all with the same frequency column."""
     p = Path(path) / TF_MAPS_CSV
     if not p.is_file():
         raise FeatureError(f"missing artifact: {p}")
-    lines = p.read_text(encoding="utf-8").rstrip("\n").split("\n")
-    rows: dict[str, dict[str, list]] = {}
-    freqs: list[float] = []
-    for line in lines[1:]:
-        ch, lab, f, rest = line.split(",", 3)
-        rows.setdefault(ch, {}).setdefault(lab, []).append(
-            np.array([float(v) for v in rest.split(",")])
-        )
-        if ch == CHANNELS[0] and lab == CLASS_LABELS[0]:
-            freqs.append(float(f))
-    maps = {
-        ch: {lab: np.stack(v) for lab, v in per_ch.items()} for ch, per_ch in rows.items()
-    }
-    return maps, np.array(freqs)
+    header, *lines = p.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    n_fields = len(header.split(","))
+    if header.split(",")[:3] != ["channel", "label", "freq_hz"]:
+        raise FeatureError(f"{p}:1: expected a channel,label,freq_hz,... header")
+    rows: dict[tuple, list] = {}
+    for line_no, line in enumerate(lines, start=2):
+        parts = line.split(",")
+        try:
+            if len(parts) != n_fields:
+                raise ValueError(f"{len(parts)} fields, expected {n_fields}")
+            if parts[0] not in CHANNELS or parts[1] not in CLASS_LABELS:
+                raise ValueError(f"unknown channel/label pair ({parts[0]}, {parts[1]})")
+            rows.setdefault(tuple(parts[:2]), []).append([float(v) for v in parts[2:]])
+        except ValueError as e:
+            raise FeatureError(f"{p}:{line_no}: {e}") from e
+    missing = [(ch, lab) for ch in CHANNELS for lab in CLASS_LABELS if (ch, lab) not in rows]
+    if missing:
+        raise FeatureError(f"{p}: no rows for channel {missing[0][0]}, label {missing[0][1]}")
+    tables = {pair: np.array(r) for pair, r in rows.items()}
+    freqs = tables[CHANNELS[0], CLASS_LABELS[0]][:, 0]
+    for (ch, lab), table in tables.items():
+        if not np.array_equal(table[:, 0], freqs):
+            raise FeatureError(
+                f"{p}: frequency column of {ch}/{lab} differs from "
+                f"{CHANNELS[0]}/{CLASS_LABELS[0]}"
+            )
+    maps = {ch: {lab: tables[ch, lab][:, 1:].copy() for lab in CLASS_LABELS} for ch in CHANNELS}
+    return maps, freqs

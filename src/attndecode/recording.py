@@ -36,12 +36,6 @@ class BandDefinition:
                 f"band {self.name!r}: need 0 < lo < hi, got [{self.lo}, {self.hi}]"
             )
 
-    def check_against(self, fs: float) -> None:
-        if self.hi > fs / 2.0:
-            raise RecordingError(
-                f"band {self.name!r} upper edge {self.hi} Hz exceeds Nyquist {fs / 2.0} Hz"
-            )
-
 
 DEFAULT_BANDS = (
     BandDefinition("delta", 1.0, 4.0),
@@ -87,6 +81,10 @@ class Recording:
         object.__setattr__(self, "trial", _frozen_array(self.trial, np.int64))
         object.__setattr__(self, "label", _frozen_array(self.label, "U5"))
         self._validate()
+        # _validate ensures fs-sample trials 0..n-1 per block, blocks in time order
+        first = np.r_[True, self.trial[1:] != self.trial[:-1]] & (self.trial != NO_TRIAL)
+        starts = np.flatnonzero(first).reshape(self.n_blocks, self.trials_per_block)
+        object.__setattr__(self, "_trial_starts", _frozen_array(starts, np.int64))
 
     # -- structure ---------------------------------------------------------
 
@@ -110,9 +108,6 @@ class Recording:
     def n_trials(self) -> int:
         return self.n_blocks * self.trials_per_block
 
-    def channel_index(self, name: str) -> int:
-        return self.channels.index(name)
-
     def block_slice(self, b: int) -> slice:
         idx = np.flatnonzero(self.block == b)
         return slice(int(idx[0]), int(idx[-1]) + 1)
@@ -124,11 +119,10 @@ class Recording:
             raise RecordingError(f"block {b} has no {phase!r} phase")
         return slice(int(idx[0]), int(idx[-1]) + 1)
 
-    def trial_slice(self, b: int, t: int) -> slice:
-        act = self.phase_slice(b, "activity")
-        n = int(round(self.fs))
-        start = act.start + t * n
-        return slice(start, start + n)
+    def trial_starts(self) -> np.ndarray:
+        """First sample of every trial, [n_blocks, trials_per_block]; trial t
+        of block b covers samples [starts[b, t], starts[b, t] + fs)."""
+        return self._trial_starts
 
     # -- validation --------------------------------------------------------
 

@@ -51,10 +51,6 @@ class SvmModel:
     dual_objective: float
     n_passes: int
 
-    @property
-    def n_support(self) -> int:
-        return len(self.dual_coef)
-
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * squared_distances(a, b))

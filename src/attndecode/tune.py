@@ -129,9 +129,6 @@ class CategoricalDim:
         return self.choices[rng.integers(len(self.choices))]
 
 
-NumericDim = (UniformDim, LogUniformDim, IntDim)
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     dims: tuple
@@ -393,6 +390,8 @@ def optimize(
                 f"{journal_path}: journal was created with seed={study.seed}, "
                 f"model={study.model_kind}; refusing to resume with different settings"
             )
+        with journal_path.open("r+b") as fh:  # cut off an interrupted append
+            fh.truncate(fh.read().rfind(b"\n") + 1)
     elif journal_path is not None:
         journal_path.parent.mkdir(parents=True, exist_ok=True)
         header = {
@@ -447,31 +446,41 @@ def _json_seed(seed):
 
 
 def load_study(path, space: SearchSpace) -> Study:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a study journal. Text after the last newline is an interrupted
+    append: it is dropped with a warning, and a resumed run re-runs that trial
+    (trials are seeded by index). Any other bad line fails naming path:line."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines.pop():  # "" unless the last append was cut short
+        log.warning("%s:%d: dropping an interrupted final line", path, len(lines) + 1)
     if not lines:
         raise TuneError(f"{path}: empty journal")
-    header = json.loads(lines[0])
-    if header.get("kind") != "study" or header.get("schema_version") != JOURNAL_VERSION:
+    records = []
+    for line_no, line in enumerate(lines, start=1):
+        kind = "study" if line_no == 1 else "trial"
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or rec.get("kind") != kind:
+                raise ValueError(f"expected a {kind!r} record")
+            if kind == "trial":
+                rec = Trial(
+                    index=int(rec["index"]),
+                    params=dict(rec["params"]),
+                    value=None if rec["value"] is None else float(rec["value"]),
+                    status=str(rec["status"]),
+                )
+        except (KeyError, TypeError, ValueError) as e:
+            raise TuneError(f"{path}:{line_no}: bad journal line: {e!r}") from e
+        records.append(rec)
+    header, *trials = records
+    if header.get("schema_version") != JOURNAL_VERSION:
         raise TuneError(f"{path}: not a version-{JOURNAL_VERSION} study journal")
-    study = Study(
+    return Study(
         space=space,
-        seed=header["seed"],
+        seed=header.get("seed"),
         subject_id=header.get("subject_id"),
         model_kind=header.get("model"),
+        trials=trials,
     )
-    for line in lines[1:]:
-        rec = json.loads(line)
-        if rec.get("kind") != "trial":
-            raise TuneError(f"{path}: unexpected journal line {rec.get('kind')!r}")
-        study.trials.append(
-            Trial(
-                index=int(rec["index"]),
-                params=rec["params"],
-                value=None if rec["value"] is None else float(rec["value"]),
-                status=str(rec["status"]),
-            )
-        )
-    return study
 
 
 def run_study(

@@ -62,15 +62,15 @@ def test_report_svgs_are_wellformed_xml(pipeline):
         ET.fromstring((pipeline["report"] / name).read_text())
 
 
+def _stage_files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_same_seed_reruns_byte_identical(pipeline, tmp_path):
     assert run([
         "synth", "--out", str(tmp_path / "ds2"), "--seed", "1", "--snr", "easy",
         "--blocks", "2", "--trials-per-block", "8",
     ]) == 0
-    assert (tmp_path / "ds2" / "recording.csv").read_bytes() == (
-        pipeline["ds"] / "recording.csv"
-    ).read_bytes()
-
     assert run(["preprocess", "--data", str(tmp_path / "ds2"), "--out", str(tmp_path / "pre2")]) == 0
     assert run(["features", "--data", str(tmp_path / "pre2"), "--out", str(tmp_path / "f2")]) == 0
     assert run([
@@ -81,9 +81,14 @@ def test_same_seed_reruns_byte_identical(pipeline, tmp_path):
         "evaluate", "--data", str(tmp_path / "f2"), "--studies", str(tmp_path / "s2"),
         "--out", str(tmp_path / "r2"), "--model", "both", "--seed", "1",
     ]) == 0
-    assert (tmp_path / "r2" / "results.json").read_bytes() == (
-        pipeline["report"] / "results.json"
-    ).read_bytes()
+    for stage, rerun in (("ds", "ds2"), ("pre", "pre2"), ("feats", "f2"),
+                         ("studies", "s2"), ("report", "r2")):
+        first = _stage_files(pipeline[stage])
+        second = _stage_files(tmp_path / rerun)
+        assert first, stage
+        assert sorted(first) == sorted(second), stage
+        for name, data in first.items():
+            assert data == second[name], f"{stage}/{name} differs between same-seed runs"
 
 
 def test_tune_resume_skips_completed_trials(pipeline, capsys):

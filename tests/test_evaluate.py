@@ -18,6 +18,7 @@ from attndecode import (
     stratified_kfold,
     train_full_model,
 )
+from attndecode.evaluate import build_cv_plan, evaluate_on_plan
 from attndecode.features import ERP_SAMPLES, N_FEATURES, ErpEpochs, FeatureMatrix, column_names
 from attndecode.recording import CHANNELS
 
@@ -226,6 +227,18 @@ def test_same_seed_identical_report():
     a = cross_validate(fm, SVM_SPEC, seed=5)
     b = cross_validate(fm, SVM_SPEC, seed=5)
     assert a.to_dict() == b.to_dict()
+
+
+def test_shared_plan_scores_like_cross_validate():
+    rng = np.random.default_rng(16)
+    fm = make_feature_matrix(40, rng, planted_col=3, erp_gap=0.5)
+    plan = build_cv_plan(fm, 4)
+    rf = evaluate_on_plan(plan, RF_SPEC, 4)
+    # RF never reads the fold kernels' distances, so the plan never builds them
+    assert all("d2_train" not in vars(fold) for fold in plan.folds)
+    svm = evaluate_on_plan(plan, SVM_SPEC, 4)
+    assert rf.to_dict() == cross_validate(fm, RF_SPEC, seed=4).to_dict()
+    assert svm.to_dict() == cross_validate(fm, SVM_SPEC, seed=4).to_dict()
 
 
 def test_scaling_features_by_power_of_two_preserves_predictions():

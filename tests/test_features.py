@@ -21,9 +21,11 @@ from attndecode.features import (
     N_LDA_COLS,
     N_TF_COLS,
     column_names,
+    load_tf_class_maps,
     parse_column,
+    write_tf_class_maps,
 )
-from attndecode.recording import CHANNELS
+from attndecode.recording import CHANNELS, CLASS_LABELS
 
 from conftest import make_toy_recording
 from test_dsp import fit_tone_amplitude, oracle_magnitude
@@ -65,8 +67,8 @@ def test_erp_decimation_keeps_every_fifth_sample():
 
     filt = design_butterworth_bandpass(4, 1.0, 4.0, FS)
     filtered = filtfilt(filt, rec.samples[0])
-    sl = rec.trial_slice(0, 1)
-    np.testing.assert_allclose(ep.data[1, 0], filtered[sl][::5], atol=1e-12)
+    start = rec.trial_starts()[0, 1]
+    np.testing.assert_allclose(ep.data[1, 0], filtered[start : start + int(FS) : 5], atol=1e-12)
 
 
 def test_erp_requires_divisible_rate():
@@ -132,6 +134,27 @@ def test_window_stats_translation_property():
 def test_window_stats_bad_epoch_length():
     with pytest.raises(FeatureError):
         window_stats(np.zeros(49))
+
+
+def _kernel_rows(rng, n):
+    """Random rows, a flat row and a sign-flipped copy of the first row."""
+    rows = rng.standard_normal((6, n)) * rng.uniform(0.1, 50.0, (6, 1))
+    return np.vstack((rows, np.full(n, 2.5), -rows[:1]))
+
+
+@pytest.mark.parametrize(
+    "kernel, n, n_out",
+    [(window_stats, 50, 42), (envelope_statistics, 250, 6), (envelope_statistics, 17, 6)],
+    ids=["window_stats", "envelope_statistics", "envelope_statistics_odd"],
+)
+def test_stacked_kernels_equal_row_by_row_calls(kernel, n, n_out):
+    # bit-equality, not a tolerance: the feature artifacts are defined by the
+    # per-slice values
+    rows = _kernel_rows(np.random.default_rng(21), n)
+    expected = np.array([kernel(r) for r in rows])
+    assert expected.shape == (len(rows), n_out)
+    assert np.array_equal(kernel(rows), expected)
+    assert np.array_equal(kernel(rows.reshape(2, 4, n)), expected.reshape(2, 4, n_out))
 
 
 # -- per-channel LDA ---------------------------------------------------------------
@@ -374,6 +397,23 @@ def test_load_feature_matrix_missing_artifact(tmp_path):
         load_feature_matrix(tmp_path)
 
 
+def _tf_maps_dir(tmp_path):
+    rng = np.random.default_rng(22)
+    maps = {ch: {lab: rng.standard_normal((3, 4)) for lab in CLASS_LABELS} for ch in CHANNELS}
+    write_tf_class_maps(maps, np.array([4.0, 6.5, 9.0]), tmp_path)
+    return maps
+
+
+def test_tf_class_maps_roundtrip(tmp_path):
+    maps = _tf_maps_dir(tmp_path)
+    loaded, freqs = load_tf_class_maps(tmp_path)
+    np.testing.assert_array_equal(freqs, [4.0, 6.5, 9.0])
+    assert list(loaded) == list(CHANNELS)
+    for ch in CHANNELS:
+        for lab in CLASS_LABELS:
+            np.testing.assert_array_equal(loaded[ch][lab], maps[ch][lab])
+
+
 def _set_field(row, pos, value):
     def edit(lines):
         parts = lines[row].split(",")
@@ -404,6 +444,32 @@ def test_load_feature_matrix_rejects_bad_rows(tmp_path, small_easy_fm, name, edi
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FeatureError, match=message):
         load_feature_matrix(tmp_path)
+
+
+# tf_class_means.csv rows: header, then channel x label x 3 frequencies in
+# CHANNELS x CLASS_LABELS order, so PO8 (the last channel) owns the last 6 rows
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_field(4, 5, "abc"), r"tf_class_means\.csv:5: could not convert string"),
+        (lambda ls: ls[:3] + [ls[3] + ",0.5"] + ls[4:], r"tf_class_means\.csv:4: 8 fields"),
+        (lambda ls: ls[:2] + [ls[2].rsplit(",", 1)[0]] + ls[3:],
+         r"tf_class_means\.csv:3: 6 fields, expected 7"),
+        (lambda ls: ls[:-6], r"no rows for channel PO8, label face"),
+        (_set_field(9, 0, "T7"), r"tf_class_means\.csv:10: unknown channel/label pair \(T7"),
+        (_set_field(8, 2, "6.0"), r"frequency column of C3/face differs from Fz/face"),
+        (lambda ls: ls[:-1], r"frequency column of PO8/scene differs"),
+    ],
+    ids=["non_numeric", "extra_field", "ragged_row", "missing_channel", "unknown_channel",
+         "freqs_differ", "missing_freq_row"],
+)
+def test_load_tf_class_maps_rejects_bad_rows(tmp_path, edit, message):
+    _tf_maps_dir(tmp_path)
+    path = tmp_path / "tf_class_means.csv"
+    lines = edit(path.read_text().rstrip("\n").split("\n"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FeatureError, match=message):
+        load_tf_class_maps(tmp_path)
 
 
 def test_assemble_reports_non_finite(monkeypatch, small_easy_pre):

@@ -81,8 +81,8 @@ def test_block_with_missing_trial_names_block(tmp_path):
     csv_path = tmp_path / "ds" / "recording.csv"
     lines = csv_path.read_text().rstrip("\n").split("\n")
     fs = int(rec.fs)
-    sl = rec.trial_slice(3, 39)  # drop the final trial of block 3
-    del lines[1 + sl.start : 1 + sl.stop]
+    start = rec.trial_starts()[3, 39]  # drop the final trial of block 3
+    del lines[1 + start : 1 + start + fs]
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetError, match=r"block 3 has 39 trials, expected 40"):
         load_recording(tmp_path / "ds")
@@ -93,12 +93,12 @@ def test_mixed_labels_within_block_rejected(tmp_path, small_easy_rec):
     write_recording(small_easy_rec, tmp_path / "ds")
     csv_path = tmp_path / "ds" / "recording.csv"
     lines = csv_path.read_text().rstrip("\n").split("\n")
-    sl = small_easy_rec.trial_slice(0, 2)
-    row = lines[1 + sl.start].split(",")
+    start = small_easy_rec.trial_starts()[0, 2]
+    row = lines[1 + start].split(",")
     row[-1] = "face" if row[-1] == "scene" else "scene"
-    lines[1 + sl.start] = ",".join(row)
+    lines[1 + start] = ",".join(row)
     csv_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetError, match=rf"recording.csv:{sl.start + 2}.*block 0"):
+    with pytest.raises(DatasetError, match=rf"recording.csv:{start + 2}.*block 0"):
         load_recording(tmp_path / "ds")
 
 
@@ -143,15 +143,18 @@ def test_phase_and_trial_structure(small_easy_rec):
         assert rest.stop - rest.start == 10 * fs
 
 
-def test_trial_slice_covers_one_annotated_trial(small_easy_rec):
+def test_trial_starts_cover_annotated_trials(small_easy_rec):
     rec = small_easy_rec
     fs = int(rec.fs)
     assert rec.n_trials == 16
+    starts = rec.trial_starts()
+    assert starts.shape == (rec.n_blocks, rec.trials_per_block)
+    assert starts.dtype == np.int64 and not starts.flags.writeable
     for b in range(rec.n_blocks):
         act = rec.phase_slice(b, "activity")
         for t in range(rec.trials_per_block):
-            sl = rec.trial_slice(b, t)
-            assert (sl.start, sl.stop) == (act.start + t * fs, act.start + (t + 1) * fs)
+            assert starts[b, t] == act.start + t * fs
+            sl = slice(starts[b, t], starts[b, t] + fs)
             np.testing.assert_array_equal(rec.trial[sl], t)
             np.testing.assert_array_equal(rec.block[sl], b)
             np.testing.assert_array_equal(rec.label[sl], rec.block_labels[b])
@@ -196,6 +199,6 @@ def test_csv_format_details(tmp_path, small_easy_rec):
     first = lines[1].split(",")
     assert first[0] == "0.0" and first[-4] == "0" and first[-3] == "cue"
     assert first[-2] == "" and first[-1] == ""  # no trial/label outside activity
-    act_row = lines[1 + small_easy_rec.trial_slice(0, 0).start].split(",")
+    act_row = lines[1 + small_easy_rec.trial_starts()[0, 0]].split(",")
     assert act_row[-3] == "activity" and act_row[-2] == "0"
     assert act_row[-1] in ("face", "scene")

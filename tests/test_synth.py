@@ -15,12 +15,9 @@ def band_power(trial: np.ndarray, fs: float, lo: float, hi: float) -> float:
 
 def trial_matrix(rec, channel: str) -> tuple[np.ndarray, np.ndarray]:
     c = rec.channels.index(channel)
-    rows, labs = [], []
-    for b in range(rec.n_blocks):
-        for t in range(rec.trials_per_block):
-            rows.append(rec.samples[c, rec.trial_slice(b, t)])
-            labs.append(rec.block_labels[b])
-    return np.array(rows), np.array(labs)
+    window = rec.trial_starts().reshape(-1, 1) + np.arange(int(rec.fs))
+    labs = np.repeat(rec.block_labels, rec.trials_per_block)
+    return rec.samples[c, window], labs
 
 
 def test_determinism_identical_output(tmp_path):

@@ -203,6 +203,49 @@ def test_journal_resume_appends_without_recompute(tmp_path):
     assert len(loaded.trials) == 15
 
 
+def test_torn_final_line_is_dropped_and_resume_matches_straight_run(tmp_path, caplog):
+    space = SearchSpace((UniformDim("x", 0.0, 10.0),))
+    straight = tmp_path / "straight.jsonl"
+    optimize(space, quadratic, n_trials=6, seed=3, journal=straight)
+    journal = tmp_path / "torn.jsonl"
+    optimize(space, quadratic, n_trials=6, seed=3, journal=journal)
+    journal.write_bytes(journal.read_bytes()[:-20])  # interrupted final append
+
+    with caplog.at_level("WARNING", logger="attndecode.tune"):
+        loaded = load_study(journal, space)
+    assert len(loaded.trials) == 5
+    assert "torn.jsonl:7: dropping an interrupted final line" in caplog.text
+
+    resumed = optimize(space, quadratic, n_trials=6, seed=3, journal=journal)
+    assert len(resumed.trials) == 6
+    # the torn bytes were cut before the re-run trial was appended
+    assert journal.read_bytes() == straight.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line_no, bad, message",
+    [
+        (3, '{"kind": "trial", "index": 1', r"study\.jsonl:3: bad journal line: JSONDecodeError"),
+        (4, '{"kind": "note"}',
+         r"study\.jsonl:4: bad journal line: ValueError.*expected a 'trial' record"),
+        (2, '{"kind": "trial", "index": 0}', r"study\.jsonl:2: bad journal line: KeyError"),
+        (1, "not json", r"study\.jsonl:1: bad journal line: JSONDecodeError"),
+    ],
+    ids=["unparsable_middle", "wrong_kind", "missing_keys", "bad_header"],
+)
+def test_bad_journal_line_names_path_and_line(tmp_path, line_no, bad, message):
+    space = SearchSpace((UniformDim("x", 0.0, 10.0),))
+    journal = tmp_path / "study.jsonl"
+    optimize(space, quadratic, n_trials=4, seed=3, journal=journal)
+    lines = journal.read_text().split("\n")
+    lines[line_no - 1] = bad
+    journal.write_text("\n".join(lines))
+    with pytest.raises(TuneError, match=message):
+        load_study(journal, space)
+    with pytest.raises(TuneError, match=message):
+        optimize(space, quadratic, n_trials=6, seed=3, journal=journal)
+
+
 def test_journal_seed_mismatch_rejected(tmp_path):
     space = SearchSpace((UniformDim("x", 0.0, 10.0),))
     journal = tmp_path / "study.jsonl"
