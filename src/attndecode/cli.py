@@ -166,9 +166,15 @@ def cmd_features(args) -> int:
 
 def _read_features_meta(data_dir) -> dict:
     p = Path(data_dir) / FEATURES_META
-    if p.is_file():
-        return json.loads(p.read_text(encoding="utf-8"))
-    return {"subject_id": "unknown"}
+    if not p.is_file():
+        return {"subject_id": "unknown"}
+    try:
+        meta = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise CliError(f"{p}: {e}") from e
+    if not isinstance(meta, dict):
+        raise CliError(f"{p}: expected a JSON object")
+    return meta
 
 
 def cmd_tune(args) -> int:

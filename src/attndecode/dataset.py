@@ -21,6 +21,13 @@ CSV_NAME = "recording.csv"
 
 _CSV_HEADER = "t_s," + ",".join(CHANNELS) + ",block,phase,trial,label"
 _META_KEYS = ("subject_id", "fs", "channel_names", "n_blocks", "block_labels")
+_META_TYPES = {
+    "fs": float,
+    "n_blocks": int,
+    "trials_per_block": int,
+    "channel_names": tuple,
+    "block_labels": tuple,
+}
 
 
 class DatasetError(ValueError):
@@ -85,10 +92,18 @@ def load_recording(path) -> Recording:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DatasetError(f"invalid JSON: {e}", path=meta_path) from e
+    if not isinstance(meta, dict):
+        raise DatasetError("expected a JSON object", path=meta_path)
     for key in _META_KEYS:
         if key not in meta:
             raise DatasetError(f"missing key {key!r}", path=meta_path)
-    channel_names = tuple(meta["channel_names"])
+    for key, kind in _META_TYPES.items():
+        if key in meta:
+            try:
+                meta[key] = kind(meta[key])
+            except (TypeError, ValueError) as e:
+                raise DatasetError(f"bad {key!r}: {e}", path=meta_path) from e
+    channel_names = meta["channel_names"]
     if len(channel_names) != len(CHANNELS):
         raise DatasetError(
             f"channel count mismatch: meta lists {len(channel_names)} channels, "
@@ -150,8 +165,8 @@ def load_recording(path) -> Recording:
         trial[i] = NO_TRIAL if t == "" else int(t)
         label[i] = parts[4 + n_ch] or NO_LABEL
 
-    block_labels = tuple(meta["block_labels"])
-    if len(block_labels) != int(meta["n_blocks"]):
+    block_labels = meta["block_labels"]
+    if len(block_labels) != meta["n_blocks"]:
         raise DatasetError(
             f"n_blocks={meta['n_blocks']} but {len(block_labels)} block_labels",
             path=meta_path,
@@ -166,7 +181,7 @@ def load_recording(path) -> Recording:
     try:
         return Recording(
             subject_id=str(meta["subject_id"]),
-            fs=float(meta["fs"]),
+            fs=meta["fs"],
             channels=channel_names,
             samples=samples,
             block=block,
@@ -188,10 +203,10 @@ def _check_trial_counts(block, phase, trial, meta, csv_path) -> None:
     """
     act = phase == "activity"
     counts = {}
-    for b in range(int(meta["n_blocks"])):
+    for b in range(meta["n_blocks"]):
         t = trial[act & (block == b)]
         counts[b] = int(t.max()) + 1 if t.size else 0
-    expected = int(meta.get("trials_per_block", max(counts.values(), default=0)))
+    expected = meta.get("trials_per_block", max(counts.values(), default=0))
     for b, c in sorted(counts.items()):
         if c != expected:
             raise DatasetError(

@@ -141,16 +141,9 @@ def roc_auc(scores, y) -> tuple[np.ndarray, float]:
         ([[0.0, 0.0]], np.column_stack((fp[last] / n_neg, tp[last] / n_pos)))
     )
 
-    asc = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    s_sorted = scores[asc]
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        ranks[asc[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    _, group, count = np.unique(scores, return_inverse=True, return_counts=True)
+    start = np.cumsum(count) - count  # 0-based first position of each tie group
+    ranks = (start + (count - 1) / 2.0 + 1.0)[group]  # average rank, 1-based
     rank_sum_pos = float(np.sum(ranks[y > 0]))
     auc = (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return points, float(auc)
@@ -257,9 +250,7 @@ def evaluate_on_plan(plan: CvPlan, spec: ModelSpec, seed: int) -> EvalReport:
         try:
             if spec.kind == "svm":
                 gram = np.exp(-hp.gamma * fold.d2_train)
-                model = svm_train(
-                    fold.x_train, fold.y_train, hp, seed=(seed, fold_id), gram=gram
-                )
+                model = svm_train(fold.x_train, fold.y_train, hp, gram=gram)
                 s = svm_decision(model, fold.x_test)
                 p = np.where(s >= 0.0, 1.0, -1.0)
             else:
@@ -332,7 +323,7 @@ def train_full_model(fm: FeatureMatrix, spec: ModelSpec, seed: int = 0) -> Train
     x = transform.transform(fm.values, fm.erp.data)
     y = labels_to_y(fm.labels)
     if spec.kind == "svm":
-        inner = svm_train(x, y, hp, seed=(seed, 0))
+        inner = svm_train(x, y, hp)
     else:
         inner = rf_train(x, (y > 0).astype(np.int64), hp, seed=(seed, 0))
     return TrainedModel(

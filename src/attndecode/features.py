@@ -456,7 +456,7 @@ def _epoch_columns() -> tuple[str, ...]:
 
 def _read_table(path: Path):
     """Header columns, float values, labels and blocks of a label,block CSV;
-    a malformed row fails naming path:line."""
+    a malformed row or a non-finite value fails naming path:line."""
     lines = path.read_text(encoding="utf-8").rstrip("\n").split("\n")
     header = lines[0].split(",")
     if header[-2:] != ["label", "block"]:
@@ -479,6 +479,10 @@ def _read_table(path: Path):
         except ValueError as e:
             raise FeatureError(f"{where}: {e}") from e
         labels[i] = parts[-2]
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise FeatureError(f"{path}:{i + 2}: non-finite {cols[j]} = {float(values[i, j])}")
     return cols, values, labels, blocks
 
 

@@ -154,12 +154,6 @@ class Tree:
 
         return walk(0, 0)
 
-    def leaf_for(self, row: np.ndarray) -> int:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if row[self.feature[i]] <= self.threshold[i] else self.right[i]
-        return int(i)
-
 
 @dataclass(frozen=True, eq=False)
 class RfModel:
@@ -251,7 +245,14 @@ def rf_predict_proba(model: RfModel, x: np.ndarray) -> np.ndarray:
         raise ForestError(f"x shape {x.shape} does not match {model.n_features} features")
     out = np.zeros(len(x))
     for tree in model.trees:
-        for i in range(len(x)):
-            c = tree.counts[tree.leaf_for(x[i])]
-            out[i] += c[1] / (c[0] + c[1])
+        # Descend all rows together, one level per step, until each is at a leaf.
+        node = np.zeros(len(x), dtype=np.int64)
+        live = np.flatnonzero(tree.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            go_left = x[live, tree.feature[at]] <= tree.threshold[at]
+            node[live] = np.where(go_left, tree.left[at], tree.right[at])
+            live = live[tree.feature[node[live]] >= 0]
+        c = tree.counts[node]
+        out += c[:, 1] / (c[:, 0] + c[:, 1])
     return out / len(model.trees)

@@ -1,11 +1,15 @@
 """Soft-margin RBF-kernel SVM trained with sequential minimal optimization.
 
-Binary labels are +1 (face) / -1 (scene). The solver is Platt-style SMO
-over the full kernel matrix: the first working-set index is any KKT
-violator, the second is chosen to maximize |E1 - E2| among non-bound
-points, with randomized sweep fallbacks. Training ends when a full pass
-finds no violator at the tolerance, so the KKT conditions hold within tol
-at convergence.
+Binary labels are +1 (face) / -1 (scene). The solver is SMO over the full
+kernel matrix with the second-order working-set rule of Fan, Chen & Lin
+(JMLR 6, 2005), as in LIBSVM. With g = K (alpha * y) and v = y - g, each
+step takes i = argmax v over the points where y_t alpha_t can grow (I_up)
+and, among the points where it can shrink (I_low) with v_t < v_i, the j that
+maximizes the objective gain (v_i - v_t)^2 / a_t, a_t = K_ii + K_tt - 2 K_it
+(floored at 1e-12, so duplicate rows move straight to a bound). The pair
+takes the clipped Newton step. Training stops when the gap
+m - M = max_{I_up} v - min_{I_low} v is at most 2 tol, and the bias is the
+midpoint (m + M) / 2, so every point's KKT violation is at most tol.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from scipy.spatial.distance import cdist
 
 HP_RANGE = (1e-3, 1e3)
 DEFAULT_TOL = 1e-3
-DEFAULT_MAX_PASSES = 10_000
+MAX_STEPS_PER_ROW = 1000  # step budget: this many SMO steps per training row
+CURVATURE_FLOOR = 1e-12  # duplicate rows give a zero-curvature pair
 
 
 class SvmError(ValueError):
@@ -25,7 +30,7 @@ class SvmError(ValueError):
 
 
 class SvmConvergenceError(RuntimeError):
-    """SMO hit its pass budget before satisfying the KKT conditions."""
+    """SMO hit its step budget before closing the optimality gap."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class SvmModel:
     hyperparams: SvmHyperParams
     sv_index: np.ndarray  # positions of the support vectors in the training set
     dual_objective: float
-    n_passes: int
+    n_passes: int  # SMO steps taken; the name is the model-JSON key
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -83,9 +88,7 @@ def svm_train(
     x: np.ndarray,
     y: np.ndarray,
     hp: SvmHyperParams,
-    seed=0,
     tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
     gram: np.ndarray | None = None,
 ) -> SvmModel:
     """Solve the RBF soft-margin dual on (x, y in {-1, +1}).
@@ -107,125 +110,37 @@ def svm_train(
 
     k = rbf_kernel(x, x, hp.gamma) if gram is None else gram
     c = hp.C
-    rng = np.random.default_rng(seed)
-
+    k_diag = np.diag(k)
+    pos = y > 0
     alpha = np.zeros(n)
-    g = np.zeros(n)  # g_i = sum_j alpha_j y_j K_ij (decision minus bias)
-    b = 0.0
-
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal b, g
-        if i1 == i2:
-            return False
-        a1o, a2o = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1 = g[i1] + b - y1
-        e2 = g[i2] + b - y2
-        s = y1 * y2
-        if s < 0:
-            lo, hi = max(0.0, a2o - a1o), min(c, c + a2o - a1o)
-        else:
-            lo, hi = max(0.0, a1o + a2o - c), min(c, a1o + a2o)
-        if lo >= hi:
-            return False
-        k11, k12, k22 = k[i1, i1], k[i1, i2], k[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0.0:
-            a2 = a2o + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, lo), hi)
-        else:
-            # Degenerate curvature (duplicate points): evaluate the dual
-            # objective at both clip bounds and move to the better one.
-            v1 = g[i1] - y1 * a1o * k11 - y2 * a2o * k12
-            v2 = g[i2] - y1 * a1o * k12 - y2 * a2o * k22
-            gamma_sum = a1o + s * a2o
-
-            def dual_min_at(t: float) -> float:
-                a1t = gamma_sum - s * t
-                return (
-                    0.5 * k11 * a1t**2
-                    + 0.5 * k22 * t**2
-                    + s * k12 * a1t * t
-                    + y1 * a1t * v1
-                    + y2 * t * v2
-                    - a1t
-                    - t
-                )
-
-            lo_obj, hi_obj = dual_min_at(lo), dual_min_at(hi)
-            if lo_obj < hi_obj - 1e-12:
-                a2 = lo
-            elif hi_obj < lo_obj - 1e-12:
-                a2 = hi
-            else:
-                return False
-        if abs(a2 - a2o) < 1e-10 * (a2 + a2o + 1e-10):
-            return False
-        a1 = a1o + s * (a2o - a2)
-        a1 = min(max(a1, 0.0), c)
-
-        d1 = y1 * (a1 - a1o)
-        d2 = y2 * (a2 - a2o)
-        b1 = b - e1 - d1 * k11 - d2 * k12
-        b2 = b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1 < c:
-            b_new = b1
-        elif 0.0 < a2 < c:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        g += d1 * k[i1] + d2 * k[i2]
-        alpha[i1], alpha[i2] = a1, a2
-        b = b_new
-        return True
-
-    def examine(i2: int) -> bool:
-        y2 = y[i2]
-        a2 = alpha[i2]
-        e2 = g[i2] + b - y2
-        r2 = e2 * y2
-        if not ((r2 < -tol and a2 < c) or (r2 > tol and a2 > 0.0)):
-            return False
-        nonbound = np.flatnonzero((alpha > 0.0) & (alpha < c))
-        if nonbound.size > 1:
-            e_nb = g[nonbound] + b - y[nonbound]
-            i1 = int(nonbound[np.argmax(np.abs(e_nb - e2))])
-            if take_step(i1, i2):
-                return True
-        if nonbound.size:
-            start = rng.integers(nonbound.size)
-            for j in range(nonbound.size):
-                if take_step(int(nonbound[(start + j) % nonbound.size]), i2):
-                    return True
-        start = rng.integers(n)
-        for j in range(n):
-            if take_step(int((start + j) % n), i2):
-                return True
-        return False
-
-    passes = 0
-    examine_all = True
-    num_changed = 0
-    while num_changed > 0 or examine_all:
-        passes += 1
-        if passes > max_passes:
-            viol = kkt_violations(alpha, y, g + b, c)
+    g = np.zeros(n)  # g = K (alpha * y), the decision minus its bias
+    steps = 0
+    while True:
+        v = y - g
+        up = np.where(pos, alpha < c, alpha > 0.0)
+        low = np.where(pos, alpha > 0.0, alpha < c)
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        m_up = v_up[i]
+        m_low = np.min(v, where=low, initial=np.inf)
+        if m_up - m_low <= 2.0 * tol:
+            break
+        if steps >= MAX_STEPS_PER_ROW * n:
             raise SvmConvergenceError(
-                f"no convergence in {max_passes} passes; "
-                f"max KKT violation {viol.max():.3e}"
+                f"no convergence in {steps} steps; gap {m_up - m_low:.3e} > {2.0 * tol:.3e}"
             )
-        num_changed = 0
-        if examine_all:
-            for i in range(n):
-                num_changed += examine(i)
-        else:
-            for i in np.flatnonzero((alpha > 0.0) & (alpha < c)):
-                num_changed += examine(int(i))
-        if examine_all:
-            examine_all = False
-        elif num_changed == 0:
-            examine_all = True
+        gap = m_up - v
+        curv = np.maximum(k_diag[i] + k_diag - 2.0 * k[i], CURVATURE_FLOOR)
+        j = int(np.argmax(np.where(low & (gap > 0.0), gap * gap / curv, -np.inf)))
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(gap[j] / curv[j], room_i, room_j)
+        # A clip that binds puts its alpha exactly on the bound, so rounding
+        # cannot leave it one ulp inside and back in the working set.
+        alpha[i] = (c if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if pos[j] else c) if t == room_j else alpha[j] - y[j] * t
+        g += t * (k[i] - k[j])
+        steps += 1
 
     ay = alpha * y
     dual_objective = float(alpha.sum() - 0.5 * ay @ k @ ay)
@@ -233,11 +148,11 @@ def svm_train(
     return SvmModel(
         support_vectors=x[sv].copy(),
         dual_coef=ay[sv],
-        bias=float(b),
+        bias=float(0.5 * (m_up + m_low)),
         hyperparams=hp,
         sv_index=sv,
         dual_objective=dual_objective,
-        n_passes=passes,
+        n_passes=steps,
     )
 
 

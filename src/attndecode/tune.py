@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,14 +145,27 @@ class SearchSpace:
     def prior_sample(self, rng) -> dict:
         return {d.name: d.prior(rng) for d in self.dims}
 
-    def contains(self, params: dict) -> bool:
+    def check(self, params: dict) -> None:
+        """Raise ValueError unless params gives every dimension, and only
+        those, a value inside it."""
+        names = {d.name for d in self.dims}
+        if set(params) != names:
+            raise ValueError(f"params {sorted(params)} differ from the space's {sorted(names)}")
         for d in self.dims:
             v = params[d.name]
             if isinstance(d, CategoricalDim):
-                if v not in d.choices:
-                    return False
-            elif not d.lo <= v <= d.hi:
-                return False
+                ok = v in d.choices
+            else:
+                kind = numbers.Integral if isinstance(d, IntDim) else numbers.Real
+                ok = isinstance(v, kind) and not isinstance(v, bool) and d.lo <= v <= d.hi
+            if not ok:
+                raise ValueError(f"{d.name}={v!r} is outside {d}")
+
+    def contains(self, params: dict) -> bool:
+        try:
+            self.check(params)
+        except ValueError:
+            return False
         return True
 
 
@@ -448,7 +462,8 @@ def _json_seed(seed):
 def load_study(path, space: SearchSpace) -> Study:
     """Read a study journal. Text after the last newline is an interrupted
     append: it is dropped with a warning, and a resumed run re-runs that trial
-    (trials are seeded by index). Any other bad line fails naming path:line."""
+    (trials are seeded by index). Any other bad line, including trial params
+    outside the space, fails naming path:line."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines.pop():  # "" unless the last append was cut short
         log.warning("%s:%d: dropping an interrupted final line", path, len(lines) + 1)
@@ -468,6 +483,7 @@ def load_study(path, space: SearchSpace) -> Study:
                     value=None if rec["value"] is None else float(rec["value"]),
                     status=str(rec["status"]),
                 )
+                space.check(rec.params)
         except (KeyError, TypeError, ValueError) as e:
             raise TuneError(f"{path}:{line_no}: bad journal line: {e!r}") from e
         records.append(rec)

@@ -109,7 +109,7 @@ def test_criterion_4_classifier_oracles():
     for seed in range(5):
         x, y = separable_problem(seed, n_per_class=50, gap=1.5)
         hp = ad.SvmHyperParams(C=5.0, gamma=0.3)
-        model = ad.svm_train(x, y, hp, seed=seed, tol=1e-3)
+        model = ad.svm_train(x, y, hp, tol=1e-3)
         viol = kkt_violations(
             full_alpha(model, len(y)), y, ad.svm_decision(model, x), hp.C
         )

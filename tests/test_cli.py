@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -100,6 +101,36 @@ def test_tune_resume_skips_completed_trials(pipeline, capsys):
     ]) == 0
     after = (pipeline["studies"] / "study_svm.jsonl").read_text()
     assert before == after
+
+
+def test_truncated_features_meta_fails_naming_it(pipeline, tmp_path, capsys):
+    feats = shutil.copytree(pipeline["feats"], tmp_path / "feats")
+    meta = feats / "features_meta.json"
+    meta.write_text(meta.read_text()[:15])
+    code = run(["tune", "--data", str(feats), "--out", str(tmp_path / "s"), "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: tune: {meta}: Expecting")
+    assert "\n" not in err.strip()
+
+
+def test_journal_trial_missing_param_fails_naming_line(pipeline, tmp_path, capsys):
+    studies = shutil.copytree(pipeline["studies"], tmp_path / "studies")
+    journal = studies / "study_svm.jsonl"
+    lines = journal.read_text().split("\n")
+    rec = json.loads(lines[1])
+    del rec["params"]["gamma"]
+    lines[1] = json.dumps(rec)
+    journal.write_text("\n".join(lines))
+    code = run([
+        "tune", "--data", str(pipeline["feats"]), "--out", str(studies),
+        "--model", "svm", "--trials", "3", "--seed", "1",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: tune: {journal}:2: bad journal line: ")
+    assert "gamma" in err
+    assert "\n" not in err.strip()
 
 
 def test_evaluate_without_features_fails_with_named_artifact(tmp_path, capsys):

@@ -446,6 +446,22 @@ def test_load_feature_matrix_rejects_bad_rows(tmp_path, small_easy_fm, name, edi
         load_feature_matrix(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "name, row, pos, value",
+    [("features.csv", 2, 5, "inf"), ("erp_epochs.csv", 3, 0, "nan")],
+    ids=["features_inf", "epochs_nan"],
+)
+def test_load_feature_matrix_rejects_non_finite_cells(
+    tmp_path, small_easy_fm, name, row, pos, value
+):
+    write_feature_matrix(small_easy_fm, tmp_path)
+    path = tmp_path / name
+    lines = _set_field(row, pos, value)(path.read_text().rstrip("\n").split("\n"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FeatureError, match=rf"{name}:{row + 1}: non-finite \S+ = {value}$"):
+        load_feature_matrix(tmp_path)
+
+
 # tf_class_means.csv rows: header, then channel x label x 3 frequencies in
 # CHANNELS x CLASS_LABELS order, so PO8 (the last channel) owns the last 6 rows
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,7 @@ def test_threshold_separable_every_tree_perfect():
     y = np.repeat([0, 1], 20)
     model = rf_train(x, y, default_hp(n_estimators=10), seed=1)
     for tree in model.trees:
-        proba = np.array([tree.counts[tree.leaf_for(r)][1] / tree.counts[tree.leaf_for(r)].sum() for r in x])
+        proba = rf_predict_proba(dataclasses.replace(model, trees=(tree,)), x)
         assert np.array_equal((proba >= 0.5).astype(int), y)
     assert np.array_equal((rf_predict_proba(model, x) >= 0.5).astype(int), y)
 
@@ -145,6 +147,24 @@ def test_proba_hand_traced_two_tree_forest():
         [(0.0 + 0.75) / 2, (0.0 + 0.25) / 2, (1.0 + 0.75) / 2, (1.0 + 0.25) / 2]
     )
     np.testing.assert_array_equal(rf_predict_proba(model, x), want)
+
+
+def test_proba_equals_row_by_row_tree_walk():
+    # deep trees whose rows reach leaves at different levels
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((80, 6))
+    y01 = (x[:, 0] + x[:, 1] * x[:, 2] + 0.3 * rng.standard_normal(80) > 0).astype(np.int64)
+    model = rf_train(x, y01, default_hp(n_estimators=5, max_depth=20), seed=3)
+    q = rng.standard_normal((50, 6))
+    want = np.zeros(len(q))
+    for tree in model.trees:
+        for r, row in enumerate(q):
+            i = 0
+            while tree.feature[i] >= 0:
+                i = tree.left[i] if row[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+            want[r] += tree.counts[i][1] / tree.counts[i].sum()
+    assert max(t.depth() for t in model.trees) >= 4
+    np.testing.assert_array_equal(rf_predict_proba(model, q), want / len(model.trees))
 
 
 def test_two_pure_disagreeing_trees_give_half():

@@ -63,6 +63,19 @@ def test_channel_count_mismatch_meta(tmp_path, small_easy_rec):
         load_recording(tmp_path / "ds")
 
 
+@pytest.mark.parametrize(
+    "key, value", [("fs", "abc"), ("n_blocks", [2]), ("block_labels", 3)]
+)
+def test_meta_field_of_wrong_type_names_meta_json(tmp_path, small_easy_rec, key, value):
+    write_recording(small_easy_rec, tmp_path / "ds")
+    meta_path = tmp_path / "ds" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError, match=rf"meta\.json: bad '{key}': "):
+        load_recording(tmp_path / "ds")
+
+
 def test_channel_count_mismatch_csv_header(tmp_path, small_easy_rec):
     write_recording(small_easy_rec, tmp_path / "ds")
     csv_path = tmp_path / "ds" / "recording.csv"

@@ -87,7 +87,7 @@ def test_minimum_class_size():
 def test_kkt_conditions_hold_on_separable_problems(seed):
     x, y = separable_problem(seed, n_per_class=50, gap=1.5)
     hp = SvmHyperParams(C=5.0, gamma=0.3)
-    model = svm_train(x, y, hp, seed=seed, tol=1e-3)
+    model = svm_train(x, y, hp, tol=1e-3)
     alpha = full_alpha(model, len(y))
     f = svm_decision(model, x)
     viol = kkt_violations(alpha, y, f, hp.C)
@@ -98,7 +98,7 @@ def test_kkt_conditions_hold_on_separable_problems(seed):
 def test_dual_feasibility(seed):
     x, y = separable_problem(seed, n_per_class=40, gap=1.0)
     hp = SvmHyperParams(C=2.0, gamma=0.5)
-    model = svm_train(x, y, hp, seed=seed)
+    model = svm_train(x, y, hp)
     alpha = full_alpha(model, len(y))
     assert abs(np.sum(alpha * y)) < 1e-6
     assert np.all(alpha >= 0.0) and np.all(alpha <= hp.C + 1e-12)
@@ -136,11 +136,11 @@ def test_decision_permutation_equivariance():
     np.testing.assert_array_equal(svm_decision(model, x[perm]), svm_decision(model, x)[perm])
 
 
-def test_training_deterministic_per_seed():
+def test_training_deterministic():
     x, y = xor_problem(seed=5)
     hp = SvmHyperParams(C=3.0, gamma=1.0)
-    a = svm_train(x, y, hp, seed=9)
-    b = svm_train(x, y, hp, seed=9)
+    a = svm_train(x, y, hp)
+    b = svm_train(x, y, hp)
     np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
     assert a.bias == b.bias
     np.testing.assert_array_equal(a.sv_index, b.sv_index)
@@ -150,8 +150,8 @@ def test_gram_shortcut_matches_fresh_kernel():
     x, y = separable_problem(6)
     hp = SvmHyperParams(C=2.0, gamma=0.4)
     gram = rbf_kernel(x, x, hp.gamma)
-    a = svm_train(x, y, hp, seed=1)
-    b = svm_train(x, y, hp, seed=1, gram=gram)
+    a = svm_train(x, y, hp)
+    b = svm_train(x, y, hp, gram=gram)
     np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
     assert a.bias == b.bias
 
@@ -176,3 +176,36 @@ def test_nonfinite_input_rejected():
     x[0, 0] = np.nan
     with pytest.raises(SvmError, match="non-finite"):
         svm_train(x, y, SvmHyperParams(C=1.0, gamma=1.0))
+
+
+def duplicate_flipped_problem():
+    """Rows repeated with the opposite label: those pairs have zero curvature."""
+    x, y = separable_problem(7, n_per_class=15, gap=0.5)
+    return np.vstack([x, x[::3]]), np.concatenate([y, -y[::3]])
+
+
+@pytest.mark.parametrize("c", [0.5, 10.0])
+def test_zero_curvature_pairs_reach_the_qp_optimum(c):
+    x, y = duplicate_flipped_problem()
+    hp = SvmHyperParams(C=c, gamma=1.0)
+    model = svm_train(x, y, hp, tol=1e-3)
+    viol = kkt_violations(full_alpha(model, len(y)), y, svm_decision(model, x), c)
+    assert viol.max() <= 1e-3 + 1e-6
+    oracle = qp_oracle_dual_objective(x, y, c, hp.gamma)
+    assert model.dual_objective == pytest.approx(oracle, rel=1e-3)
+
+
+def test_all_alphas_at_bound_keep_kkt_within_tol():
+    # at tiny C every alpha ends at 0 or C; the bias is then the gap midpoint
+    x, y = xor_problem(seed=2)
+    hp = SvmHyperParams(C=1e-3, gamma=1.0)
+    model = svm_train(x, y, hp, tol=1e-3)
+    alpha = full_alpha(model, len(y))
+    assert np.all((alpha == 0.0) | (alpha == hp.C))
+    f = svm_decision(model, x)
+    viol = kkt_violations(alpha, y, f, hp.C)
+    assert viol.max() <= 1e-3 + 1e-6
+    # the KKT conditions leave b free in [max v over I_up, min v over I_low]
+    v = y - (f - model.bias)
+    up = np.where(y > 0, alpha < hp.C, alpha > 0.0)
+    assert model.bias == pytest.approx(0.5 * (v[up].max() + v[~up].min()), abs=1e-9)

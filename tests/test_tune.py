@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -244,6 +246,32 @@ def test_bad_journal_line_names_path_and_line(tmp_path, line_no, bad, message):
         load_study(journal, space)
     with pytest.raises(TuneError, match=message):
         optimize(space, quadratic, n_trials=6, seed=3, journal=journal)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.pop("criterion"), r"params \[.*\] differ from the space's"),
+        (lambda p: p.update(bootstrap=True), r"params \[.*'bootstrap'.*\] differ"),
+        (lambda p: p.update(max_depth="deep"), r"max_depth='deep' is outside IntDim"),
+        (lambda p: p.update(n_estimators=999), r"n_estimators=999 is outside IntDim"),
+        (lambda p: p.update(min_samples_leaf=2.5), r"min_samples_leaf=2\.5 is outside IntDim"),
+        (lambda p: p.update(max_features="all"), r"max_features='all' is outside Categ"),
+    ],
+    ids=["missing_param", "extra_param", "non_numeric", "out_of_range", "non_integer",
+         "unknown_choice"],
+)
+def test_journal_params_outside_space_name_path_and_line(tmp_path, edit, message):
+    space = rf_space()
+    journal = tmp_path / "study.jsonl"
+    optimize(space, lambda params: 0.5, n_trials=3, seed=3, journal=journal)
+    lines = journal.read_text().split("\n")
+    rec = json.loads(lines[2])
+    edit(rec["params"])
+    lines[2] = json.dumps(rec)
+    journal.write_text("\n".join(lines))
+    with pytest.raises(TuneError, match=r"study\.jsonl:3: bad journal line: ValueError.*" + message):
+        load_study(journal, space)
 
 
 def test_journal_seed_mismatch_rejected(tmp_path):
