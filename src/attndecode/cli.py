@@ -24,6 +24,9 @@ class CliError(ValueError):
     pass
 
 
+MODEL_CHOICES = (*evaluate.MODEL_KINDS, "both")
+
+
 @dataclass
 class RunConfig:
     """Pipeline constants; JSON round-trips losslessly via to/from_json."""
@@ -43,8 +46,8 @@ class RunConfig:
     )
 
     def __post_init__(self):
-        if self.model not in ("svm", "rf", "both"):
-            raise CliError(f"model must be svm, rf or both, got {self.model!r}")
+        if self.model not in MODEL_CHOICES:
+            raise CliError(f"model must be one of {MODEL_CHOICES}, got {self.model!r}")
         if not 1 <= self.filter_order <= 12:
             raise CliError(f"filter_order {self.filter_order} outside [1, 12]")
         if not 0 < self.band_lo < self.band_hi:
@@ -104,7 +107,7 @@ def _require(cfg: RunConfig, field_name: str) -> str:
 
 
 def _model_kinds(model: str) -> list[str]:
-    return ["svm", "rf"] if model == "both" else [model]
+    return list(evaluate.MODEL_KINDS) if model == "both" else [model]
 
 
 FEATURES_META = "features_meta.json"
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="output artifact path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="RunConfig JSON file")
-        p.add_argument("--model", choices=("svm", "rf", "both"), default=None)
+        p.add_argument("--model", choices=MODEL_CHOICES, default=None)
         p.add_argument("--trials", type=int, default=None, help="tuning budget")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

@@ -12,7 +12,8 @@ tuning study's trials and across the model kinds that evaluate scores.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -21,11 +22,20 @@ import numpy as np
 from .features import (
     ERP_SAMPLES,
     LDA_COL_START,
+    N_FEATURES,
     FeatureMatrix,
     lda_fit,
     lda_project,
 )
-from .forest import RfHyperParams, RfModel, Tree, rf_predict_proba, rf_train
+from .forest import (
+    INT_RANGES,
+    RfHyperParams,
+    RfModel,
+    Tree,
+    rf_predict_proba,
+    rf_train,
+    seed_key,
+)
 from .recording import CHANNELS
 from .svm import SvmHyperParams, SvmModel, squared_distances, svm_decision, svm_train
 
@@ -44,7 +54,8 @@ def labels_to_y(labels: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Classifier kind plus its hyperparameter values."""
+    """Classifier kind plus its hyperparameter values: the one place that
+    knows how each kind is configured, trained and scored."""
 
     kind: str
     params: dict
@@ -54,17 +65,39 @@ class ModelSpec:
             raise EvalError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         self.hyperparams()
 
-    def hyperparams(self):
+    def hyperparams(self) -> SvmHyperParams | RfHyperParams:
+        p = self.params
         if self.kind == "svm":
-            return SvmHyperParams(C=float(self.params["C"]), gamma=float(self.params["gamma"]))
+            return SvmHyperParams(C=float(p["C"]), gamma=float(p["gamma"]))
         return RfHyperParams(
-            n_estimators=int(self.params["n_estimators"]),
-            max_depth=int(self.params["max_depth"]),
-            min_samples_split=int(self.params["min_samples_split"]),
-            min_samples_leaf=int(self.params["min_samples_leaf"]),
-            max_features=str(self.params["max_features"]),
-            criterion=str(self.params["criterion"]),
+            **{name: int(p[name]) for name in INT_RANGES},
+            max_features=str(p["max_features"]),
+            criterion=str(p["criterion"]),
         )
+
+    def fit(
+        self, x: np.ndarray, y: np.ndarray, seed, d2: Callable[[], np.ndarray] | None = None
+    ) -> SvmModel | RfModel:
+        """Train on scaled rows x with labels y in {-1, +1}.
+
+        seed seeds the forest's bootstrap streams. d2, if given, returns the
+        squared distances between the rows of x; the SVM then builds its gram
+        matrix as exp(-gamma d2) from them. Only the SVM calls it, so a forest
+        never pays for them.
+        """
+        hp = self.hyperparams()
+        if self.kind == "svm":
+            return svm_train(x, y, hp, gram=None if d2 is None else np.exp(-hp.gamma * d2()))
+        return rf_train(x, (y > 0).astype(np.int64), hp, seed=seed)
+
+    def score(self, model: SvmModel | RfModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scores and +-1 predictions for scaled rows x: the SVM margin is
+        thresholded at 0, the forest's face probability at 0.5."""
+        if self.kind == "svm":
+            s, threshold = svm_decision(model, x), 0.0
+        else:
+            s, threshold = rf_predict_proba(model, x), 0.5
+        return s, np.where(s >= threshold, 1.0, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +199,17 @@ class FoldTransform:
     col_mean: np.ndarray  # [N_FEATURES]
     col_std: np.ndarray  # [N_FEATURES]
 
+    def __post_init__(self):
+        want = {
+            "lda_w": (len(CHANNELS), ERP_SAMPLES),
+            "lda_b": (len(CHANNELS),),
+            "col_mean": (N_FEATURES,),
+            "col_std": (N_FEATURES,),
+        }
+        for name, shape in want.items():
+            if getattr(self, name).shape != shape:
+                raise EvalError(f"{name} has shape {getattr(self, name).shape}, not {shape}")
+
     @classmethod
     def fit(cls, fm: FeatureMatrix, idx: np.ndarray) -> "FoldTransform":
         """Fit on the rows idx of fm; no other row is read."""
@@ -241,23 +285,14 @@ def build_cv_plan(fm: FeatureMatrix, seed: int, k: int = N_FOLDS) -> CvPlan:
 
 
 def evaluate_on_plan(plan: CvPlan, spec: ModelSpec, seed: int) -> EvalReport:
-    hp = spec.hyperparams()
     n = len(plan.y)
     scores = np.empty(n)
     preds = np.empty(n)
     fold_acc = []
     for fold_id, fold in enumerate(plan.folds):
         try:
-            if spec.kind == "svm":
-                gram = np.exp(-hp.gamma * fold.d2_train)
-                model = svm_train(fold.x_train, fold.y_train, hp, gram=gram)
-                s = svm_decision(model, fold.x_test)
-                p = np.where(s >= 0.0, 1.0, -1.0)
-            else:
-                y01 = (fold.y_train > 0).astype(np.int64)
-                model = rf_train(fold.x_train, y01, hp, seed=(seed, fold_id))
-                s = rf_predict_proba(model, fold.x_test)
-                p = np.where(s >= 0.5, 1.0, -1.0)
+            model = spec.fit(fold.x_train, fold.y_train, (seed, fold_id), lambda: fold.d2_train)
+            s, p = spec.score(model, fold.x_test)
         except Exception as e:
             raise EvalError(f"fold {fold_id}: {e}") from e
         scores[fold.test_idx] = s
@@ -298,117 +333,84 @@ SERIAL_VERSION = 1
 class TrainedModel:
     """Whole scoring pipeline: the fitted fold transform, then the classifier."""
 
-    kind: str
-    params: dict
+    spec: ModelSpec
     transform: FoldTransform
     inner: SvmModel | RfModel
 
+    def __post_init__(self):
+        if self.inner.hyperparams != self.spec.hyperparams():
+            raise EvalError(f"model {self.inner.hyperparams} differs from params {self.spec}")
+        if self.inner.n_features != N_FEATURES:
+            raise EvalError(f"model takes {self.inner.n_features} features, not {N_FEATURES}")
+
     def decision(self, values: np.ndarray, erp_data: np.ndarray) -> np.ndarray:
         """Scores for [n, 640] raw features plus their [n, 8, 50] ERP epochs."""
-        x = self.transform.transform(values, erp_data)
-        if self.kind == "svm":
-            return svm_decision(self.inner, x)
-        return rf_predict_proba(self.inner, x)
+        return self.spec.score(self.inner, self.transform.transform(values, erp_data))[0]
 
     def predict(self, values: np.ndarray, erp_data: np.ndarray) -> np.ndarray:
-        s = self.decision(values, erp_data)
-        threshold = 0.0 if self.kind == "svm" else 0.5
-        return np.where(s >= threshold, 1.0, -1.0)
+        """+-1 predictions for the same inputs as decision."""
+        return self.spec.score(self.inner, self.transform.transform(values, erp_data))[1]
 
 
 def train_full_model(fm: FeatureMatrix, spec: ModelSpec, seed: int = 0) -> TrainedModel:
     """Fit the whole pipeline on every trial (final reporting model)."""
-    hp = spec.hyperparams()
     transform = FoldTransform.fit(fm, np.arange(fm.n_trials))
     x = transform.transform(fm.values, fm.erp.data)
-    y = labels_to_y(fm.labels)
-    if spec.kind == "svm":
-        inner = svm_train(x, y, hp)
-    else:
-        inner = rf_train(x, (y > 0).astype(np.int64), hp, seed=(seed, 0))
-    return TrainedModel(
-        kind=spec.kind, params=dict(spec.params), transform=transform, inner=inner
-    )
+    return TrainedModel(spec, transform, spec.fit(x, labels_to_y(fm.labels), (seed, 0)))
+
+
+def _plain(value):
+    """JSON-ready form of a model value: dataclasses field by field, arrays
+    and tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _fields_from(cls, doc: dict, **given) -> dict:
+    """Constructor arguments for dataclass cls: given ones, the rest read
+    from doc by field name, lists as arrays."""
+    for f in fields(cls):
+        if f.name not in given:
+            v = doc[f.name]
+            try:
+                given[f.name] = np.array(v) if isinstance(v, list) else v
+            except ValueError as e:  # a ragged list
+                raise EvalError(f"{f.name}: {e}") from e
+    return given
 
 
 def model_to_json(model: TrainedModel) -> str:
+    block = _plain(model.inner)
+    hyperparams = block.pop("hyperparams")
+    if model.spec.kind == "svm":
+        block.update(hyperparams)  # C and gamma sit in the svm block
     doc = {
         "schema_version": SERIAL_VERSION,
-        "kind": model.kind,
-        "params": model.params,
+        "kind": model.spec.kind,
+        "params": model.spec.params,
         **model.transform.to_dict(),
+        model.spec.kind: block,
     }
-    if model.kind == "svm":
-        inner: SvmModel = model.inner
-        doc["svm"] = {
-            "support_vectors": inner.support_vectors.tolist(),
-            "dual_coef": inner.dual_coef.tolist(),
-            "bias": inner.bias,
-            "C": inner.hyperparams.C,
-            "gamma": inner.hyperparams.gamma,
-            "sv_index": inner.sv_index.tolist(),
-            "dual_objective": inner.dual_objective,
-            "n_passes": inner.n_passes,
-        }
-    else:
-        rf: RfModel = model.inner
-        doc["rf"] = {
-            "seed": list(rf.seed),
-            "n_features": rf.n_features,
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "counts": t.counts.tolist(),
-                }
-                for t in rf.trees
-            ],
-        }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def model_from_json(text: str) -> TrainedModel:
+    """Parse a model file; arrays that do not fit together are refused."""
     doc = json.loads(text)
     if doc.get("schema_version") != SERIAL_VERSION:
         raise EvalError(f"unsupported model schema {doc.get('schema_version')!r}")
-    if doc["kind"] == "svm":
-        s = doc["svm"]
-        inner = SvmModel(
-            support_vectors=np.array(s["support_vectors"], float),
-            dual_coef=np.array(s["dual_coef"], float),
-            bias=float(s["bias"]),
-            hyperparams=SvmHyperParams(C=s["C"], gamma=s["gamma"]),
-            sv_index=np.array(s["sv_index"], np.int64),
-            dual_objective=float(s["dual_objective"]),
-            n_passes=int(s["n_passes"]),
-        )
+    spec = ModelSpec(doc["kind"], doc["params"])
+    block = doc[spec.kind]
+    if spec.kind == "svm":
+        hp = SvmHyperParams(C=block["C"], gamma=block["gamma"])
+        inner = SvmModel(**_fields_from(SvmModel, block, hyperparams=hp))
     else:
-        r = doc["rf"]
-        trees = tuple(
-            Tree(
-                feature=np.array(t["feature"], np.int64),
-                threshold=np.array(t["threshold"], float),
-                left=np.array(t["left"], np.int64),
-                right=np.array(t["right"], np.int64),
-                counts=np.array(t["counts"], np.int64),
-            )
-            for t in r["trees"]
-        )
-        spec = ModelSpec(doc["kind"], doc["params"])
-        inner = RfModel(
-            trees=trees,
-            hyperparams=spec.hyperparams(),
-            seed=tuple(r["seed"]),
-            n_features=int(r["n_features"]),
-        )
-    return TrainedModel(
-        kind=doc["kind"],
-        params=doc["params"],
-        transform=FoldTransform.from_dict(doc),
-        inner=inner,
-    )
+        trees = tuple(Tree(**_fields_from(Tree, t)) for t in block["trees"])
+        inner = RfModel(trees, spec.hyperparams(), seed_key(block["seed"]), block["n_features"])
+    return TrainedModel(spec, FoldTransform.from_dict(doc), inner)
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+INT_RANGES = {  # inclusive bounds of the integer hyperparameters
+    "n_estimators": (2, 10),
+    "max_depth": (5, 20),
+    "min_samples_split": (2, 20),
+    "min_samples_leaf": (2, 5),
+}
 MAX_FEATURES_CHOICES = ("auto", "sqrt", "log2")
 CRITERION_CHOICES = ("gini", "entropy")
 
@@ -32,13 +38,8 @@ class RfHyperParams:
     criterion: str = "gini"
 
     def __post_init__(self):
-        ranges = (
-            ("n_estimators", self.n_estimators, 2, 10),
-            ("max_depth", self.max_depth, 5, 20),
-            ("min_samples_split", self.min_samples_split, 2, 20),
-            ("min_samples_leaf", self.min_samples_leaf, 2, 5),
-        )
-        for name, v, lo, hi in ranges:
+        for name, (lo, hi) in INT_RANGES.items():
+            v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and lo <= v <= hi):
                 raise ForestError(f"{name}={v} outside [{lo}, {hi}]")
         if self.max_features not in MAX_FEATURES_CHOICES:
@@ -134,13 +135,35 @@ def best_split(
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Flat node arrays; feature == -1 marks a leaf."""
+    """Flat node arrays; feature == -1 marks a leaf.
+
+    Nodes are numbered in preorder, so both children of an internal node
+    come after it; arrays that break this (and could send a descent round
+    in a loop) are refused.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     counts: np.ndarray  # [n_nodes, 2] training class counts (scene, face)
+
+    def __post_init__(self):
+        n = self.n_nodes
+        if n < 1:
+            raise ForestError("tree has no nodes")
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            shape = getattr(self, name).shape
+            if shape != ((n, 2) if name == "counts" else (n,)):
+                raise ForestError(f"tree {name} has shape {shape} for {n} nodes")
+        for name in ("feature", "left", "right"):
+            if not np.issubdtype(getattr(self, name).dtype, np.integer):
+                raise ForestError(f"tree {name} must hold integers")
+        inner = np.flatnonzero(self.feature >= 0)
+        for name in ("left", "right"):
+            child = getattr(self, name)[inner]
+            if np.any((child <= inner) | (child >= n)):
+                raise ForestError(f"tree {name}: a child must come after its node and below {n}")
 
     @property
     def n_nodes(self) -> int:
@@ -161,6 +184,11 @@ class RfModel:
     hyperparams: RfHyperParams
     seed: tuple[int, ...]
     n_features: int
+
+    def __post_init__(self):
+        for tree in self.trees:
+            if tree.feature.max() >= self.n_features:
+                raise ForestError(f"tree feature {tree.feature.max()} >= {self.n_features}")
 
 
 def _grow_tree(
@@ -211,10 +239,10 @@ def _grow_tree(
     )
 
 
-def _seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+def seed_key(seed, *counters: int) -> tuple[int, ...]:
+    """An int seed or a sequence of ints as one tuple, counters appended."""
+    base = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    return tuple(int(s) for s in base + counters)
 
 
 def rf_train(x: np.ndarray, y01: np.ndarray, hp: RfHyperParams, seed=0) -> RfModel:
@@ -229,7 +257,7 @@ def rf_train(x: np.ndarray, y01: np.ndarray, hp: RfHyperParams, seed=0) -> RfMod
     if len(np.unique(y01)) != 2:
         raise ForestError("both classes must be present")
 
-    base = _seed_tuple(seed)
+    base = seed_key(seed)
     trees = []
     for t in range(hp.n_estimators):
         rng = np.random.default_rng(base + (t,))

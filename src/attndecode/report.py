@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import EvalReport
+from .evaluate import MODEL_KINDS, EvalReport
 from .plots import render_erp_svg, render_roc_svg, render_tf_maps_svg
 from .tune import Study
 
@@ -84,7 +84,7 @@ def validate_results(doc: dict) -> None:
     models = doc.get("models")
     need(isinstance(models, dict) and models, "models must be a non-empty object")
     for kind, entry in models.items():
-        need(kind in ("svm", "rf"), f"unknown model kind {kind!r}")
+        need(kind in MODEL_KINDS, f"unknown model kind {kind!r}")
         need(isinstance(entry.get("params"), dict), f"{kind}: params must be an object")
         accs = entry.get("fold_accuracies")
         need(

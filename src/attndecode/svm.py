@@ -56,6 +56,18 @@ class SvmModel:
     dual_objective: float
     n_passes: int  # SMO steps taken; the name is the model-JSON key
 
+    def __post_init__(self):
+        if self.support_vectors.ndim != 2:
+            raise SvmError(f"support_vectors must be 2-D, got {self.support_vectors.shape}")
+        n_sv = len(self.support_vectors)
+        for name in ("dual_coef", "sv_index"):
+            if getattr(self, name).shape != (n_sv,):
+                raise SvmError(f"{name} must hold one value per support vector ({n_sv})")
+
+    @property
+    def n_features(self) -> int:
+        return self.support_vectors.shape[1]
+
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * squared_distances(a, b))
@@ -159,10 +171,8 @@ def svm_train(
 def svm_decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
     """Signed margin f(x) = sum_i alpha_i y_i k(x_i, x) + b per row."""
     x = np.asarray(x, float)
-    if x.ndim != 2 or x.shape[1] != model.support_vectors.shape[1]:
-        raise SvmError(
-            f"x shape {x.shape} does not match {model.support_vectors.shape[1]} features"
-        )
+    if x.ndim != 2 or x.shape[1] != model.n_features:
+        raise SvmError(f"x shape {x.shape} does not match {model.n_features} features")
     k = rbf_kernel(x, model.support_vectors, model.hyperparams.gamma)
     # einsum keeps each row's reduction order fixed, preserving row-wise
     # determinism under permutation/duplication of x.

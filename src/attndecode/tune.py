@@ -1,13 +1,17 @@
 """Tree-structured Parzen Estimator search over hyperparameter spaces.
 
-The first n_startup trials sample each dimension from its prior (uniform in
-the transformed space: log10 for log-uniform dimensions). Afterwards the
-completed trials are split at the gamma-quantile of the objective
-(maximization, so the top fraction is "good"); each dimension gets a
-density l from the good observations and g from the bad ones - truncated
-Gaussian kernels with Scott bandwidth for numeric dimensions, add-one
+Until N_STARTUP trials have completed, each dimension is sampled from its
+prior (uniform in the transformed space: log10 for log-uniform dimensions).
+Afterwards the completed trials are split at the GAMMA_QUANTILE of the
+objective (maximization, so the top fraction is "good"); each dimension gets
+a density l from the good observations and g from the bad ones - truncated
+Gaussian kernels with adaptive bandwidths for numeric dimensions, add-one
 smoothed counts for categoricals - and the suggestion is the best of
-n_candidates draws from l ranked by l(x)/g(x).
+N_CANDIDATES draws from l ranked by l(x)/g(x). These are the algorithm's
+fixed settings (Bergstra et al., NeurIPS 2011), not options.
+
+The SVM and forest spaces are built from the ranges and choices that
+svm.SvmHyperParams and forest.RfHyperParams validate against.
 
 Studies persist as an append-only JSON-lines journal (header line plus one
 line per trial) so an interrupted run can resume.
@@ -19,11 +23,14 @@ import json
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
+
+from .forest import CRITERION_CHOICES, INT_RANGES, MAX_FEATURES_CHOICES, seed_key
+from .svm import HP_RANGE, SvmHyperParams
 
 log = logging.getLogger(__name__)
 
@@ -63,15 +70,11 @@ class UniformDim:
         return float(min(max(t, self.lo), self.hi))
 
     def prior(self, rng):
-        return float(rng.uniform(self.lo, self.hi))
+        return self.from_t(rng.uniform(*self.bounds_t()))
 
 
 @dataclass(frozen=True)
-class LogUniformDim:
-    name: str
-    lo: float
-    hi: float
-
+class LogUniformDim(UniformDim):
     def __post_init__(self):
         if not 0 < self.lo < self.hi:
             raise TuneError(f"{self.name}: need 0 < lo < hi for a log scale")
@@ -85,35 +88,17 @@ class LogUniformDim:
     def from_t(self, t):
         return float(min(max(10.0**t, self.lo), self.hi))
 
-    def prior(self, rng):
-        lo_t, hi_t = self.bounds_t()
-        return self.from_t(rng.uniform(lo_t, hi_t))
-
 
 @dataclass(frozen=True)
-class IntDim:
+class IntDim(UniformDim):
     """Integer range; treated as continuous for density fitting and rounded
     to the nearest in-bounds integer at suggestion time."""
 
-    name: str
     lo: int
     hi: int
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise TuneError(f"{self.name}: lo must be < hi")
-
-    def bounds_t(self):
-        return float(self.lo), float(self.hi)
-
-    def to_t(self, v):
-        return float(v)
-
     def from_t(self, t):
         return int(min(max(round(t), self.lo), self.hi))
-
-    def prior(self, rng):
-        return self.from_t(rng.uniform(self.lo, self.hi))
 
 
 @dataclass(frozen=True)
@@ -170,20 +155,16 @@ class SearchSpace:
 
 
 def svm_space() -> SearchSpace:
-    return SearchSpace(
-        (LogUniformDim("C", 1e-3, 1e3), LogUniformDim("gamma", 1e-3, 1e3))
-    )
+    return SearchSpace(tuple(LogUniformDim(f.name, *HP_RANGE) for f in fields(SvmHyperParams)))
 
 
 def rf_space() -> SearchSpace:
+    # prior_sample and tpe_suggest draw one dimension at a time in this order
     return SearchSpace(
-        (
-            IntDim("n_estimators", 2, 10),
-            IntDim("max_depth", 5, 20),
-            IntDim("min_samples_split", 2, 20),
-            IntDim("min_samples_leaf", 2, 5),
-            CategoricalDim("max_features", ("auto", "sqrt", "log2")),
-            CategoricalDim("criterion", ("gini", "entropy")),
+        tuple(IntDim(name, lo, hi) for name, (lo, hi) in INT_RANGES.items())
+        + (
+            CategoricalDim("max_features", MAX_FEATURES_CHOICES),
+            CategoricalDim("criterion", CRITERION_CHOICES),
         )
     )
 
@@ -285,18 +266,6 @@ class _NumericDensity:
         return np.log(np.maximum(dens, DENSITY_FLOOR))
 
 
-class _UniformDensity:
-    def __init__(self, lo_t: float, hi_t: float):
-        self.lo = lo_t
-        self.hi = hi_t
-
-    def sample_many(self, rng, m: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=m)
-
-    def log_pdf_many(self, x: np.ndarray) -> np.ndarray:
-        return np.full(len(x), -math.log(self.hi - self.lo))
-
-
 class _CategoricalDensity:
     """Observation counts with add-one smoothing."""
 
@@ -312,51 +281,29 @@ class _CategoricalDensity:
         return np.log(np.maximum(self.probs[idx], DENSITY_FLOOR))
 
 
-def _density_pair(dim, good: list, bad: list):
+def _density(dim, observed: list):
     if isinstance(dim, CategoricalDim):
-        return (
-            _CategoricalDensity(dim.choices, good),
-            _CategoricalDensity(dim.choices, bad),
-        )
-    lo_t, hi_t = dim.bounds_t()
-    l = (
-        _NumericDensity(np.array([dim.to_t(v) for v in good]), lo_t, hi_t)
-        if good
-        else _UniformDensity(lo_t, hi_t)
-    )
-    g = (
-        _NumericDensity(np.array([dim.to_t(v) for v in bad]), lo_t, hi_t)
-        if bad
-        else _UniformDensity(lo_t, hi_t)
-    )
-    return l, g
+        return _CategoricalDensity(dim.choices, observed)
+    return _NumericDensity(np.array([dim.to_t(v) for v in observed]), *dim.bounds_t())
 
 
-def tpe_suggest(
-    study: Study,
-    *,
-    n_startup: int = N_STARTUP,
-    gamma: float = GAMMA_QUANTILE,
-    n_candidates: int = N_CANDIDATES,
-    rng: np.random.Generator,
-) -> dict:
+def tpe_suggest(study: Study, *, rng: np.random.Generator) -> dict:
     """Next parameter vector for the study; always inside the space bounds."""
     space = study.space
     done = study.completed()
-    if len(done) < n_startup:
+    if len(done) < N_STARTUP:
         return space.prior_sample(rng)
 
+    # with N_STARTUP >= 2 completed trials, both sets are non-empty
     ranked = sorted(done, key=lambda t: -t.value)
-    n_good = max(1, math.ceil(gamma * len(ranked)))
+    n_good = math.ceil(GAMMA_QUANTILE * len(ranked))
     good, bad = ranked[:n_good], ranked[n_good:]
 
-    scores = np.zeros(n_candidates)
+    scores = np.zeros(N_CANDIDATES)
     drawn = {}
     for d in space.dims:
-        l, g = _density_pair(
-            d, [t.params[d.name] for t in good], [t.params[d.name] for t in bad]
-        )
-        xs = l.sample_many(rng, n_candidates)
+        l, g = (_density(d, [t.params[d.name] for t in part]) for part in (good, bad))
+        xs = l.sample_many(rng, N_CANDIDATES)
         scores += l.log_pdf_many(xs) - g.log_pdf_many(xs)
         drawn[d.name] = xs
 
@@ -369,12 +316,6 @@ def tpe_suggest(
 
 
 # -- optimization loops -----------------------------------------------------------
-
-
-def _seed_key(seed, extra: int) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed), extra]
-    return [int(s) for s in seed] + [extra]
 
 
 def optimize(
@@ -396,10 +337,11 @@ def optimize(
     if n_trials < 1:
         raise TuneError(f"budget must be >= 1, got {n_trials}")
     study = Study(space=space, seed=seed, subject_id=subject_id, model_kind=model_kind)
+    json_seed = int(seed) if isinstance(seed, numbers.Integral) else list(seed_key(seed))
     journal_path = Path(journal) if journal is not None else None
     if journal_path is not None and journal_path.exists():
         study = load_study(journal_path, space)
-        if study.seed != _json_seed(seed) or study.model_kind != model_kind:
+        if study.seed != json_seed or study.model_kind != model_kind:
             raise TuneError(
                 f"{journal_path}: journal was created with seed={study.seed}, "
                 f"model={study.model_kind}; refusing to resume with different settings"
@@ -411,14 +353,14 @@ def optimize(
         header = {
             "kind": "study",
             "schema_version": JOURNAL_VERSION,
-            "seed": _json_seed(seed),
+            "seed": json_seed,
             "model": model_kind,
             "subject_id": subject_id,
         }
         journal_path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
 
     for i in range(len(study.trials), n_trials):
-        rng = np.random.default_rng(_seed_key(seed, i))
+        rng = np.random.default_rng(seed_key(seed, i))
         if sampler == "tpe":
             params = tpe_suggest(study, rng=rng)
         elif sampler == "random":
@@ -434,36 +376,20 @@ def optimize(
         study.trials.append(trial)
         if journal_path is not None:
             with journal_path.open("a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "trial",
-                            "index": trial.index,
-                            "params": trial.params,
-                            "value": trial.value,
-                            "status": trial.status,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps({"kind": "trial", **asdict(trial)}, sort_keys=True) + "\n")
 
     if not study.completed():
         raise TuneError("all trials failed")
     return study
 
 
-def _json_seed(seed):
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return [int(s) for s in seed]
-
-
 def load_study(path, space: SearchSpace) -> Study:
     """Read a study journal. Text after the last newline is an interrupted
     append: it is dropped with a warning, and a resumed run re-runs that trial
-    (trials are seeded by index). Any other bad line, including trial params
-    outside the space, fails naming path:line."""
+    (trials are seeded by index). Any other bad line fails naming path:line:
+    trial params outside the space, an index other than the trial's
+    position, or a status and value other than "ok" with a finite number or
+    "failed" with null."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines.pop():  # "" unless the last append was cut short
         log.warning("%s:%d: dropping an interrupted final line", path, len(lines) + 1)
@@ -477,12 +403,16 @@ def load_study(path, space: SearchSpace) -> Study:
             if not isinstance(rec, dict) or rec.get("kind") != kind:
                 raise ValueError(f"expected a {kind!r} record")
             if kind == "trial":
-                rec = Trial(
-                    index=int(rec["index"]),
-                    params=dict(rec["params"]),
-                    value=None if rec["value"] is None else float(rec["value"]),
-                    status=str(rec["status"]),
-                )
+                index, status, value = rec["index"], rec["status"], rec["value"]
+                if index != line_no - 2:
+                    raise ValueError(f"index {index!r} is not the trial's position {line_no - 2}")
+                ok = status == "ok" and isinstance(value, numbers.Real) and math.isfinite(value)
+                if not (ok or status == "failed" and value is None):
+                    raise ValueError(
+                        f"status {status!r} with value {value!r}: need 'ok' with a finite "
+                        "value or 'failed' with null"
+                    )
+                rec = Trial(index, dict(rec["params"]), float(value) if ok else None, status)
                 space.check(rec.params)
         except (KeyError, TypeError, ValueError) as e:
             raise TuneError(f"{path}:{line_no}: bad journal line: {e!r}") from e
@@ -541,10 +471,10 @@ def compare_random(
     wins = 0
     for s in range(n_seeds):
         tpe_best = optimize(
-            space, objective, budget, seed=_seed_key(seed, s) + [0], sampler="tpe"
+            space, objective, budget, seed=seed_key(seed, s, 0), sampler="tpe"
         ).best_trial.value
         rnd_best = optimize(
-            space, objective, budget, seed=_seed_key(seed, s) + [1], sampler="random"
+            space, objective, budget, seed=seed_key(seed, s, 1), sampler="random"
         ).best_trial.value
         if tpe_best >= rnd_best:
             wins += 1

@@ -133,6 +133,25 @@ def test_journal_trial_missing_param_fails_naming_line(pipeline, tmp_path, capsy
     assert "\n" not in err.strip()
 
 
+def test_journal_ok_trial_without_value_fails_naming_line(pipeline, tmp_path, capsys):
+    studies = shutil.copytree(pipeline["studies"], tmp_path / "studies")
+    journal = studies / "study_svm.jsonl"
+    lines = journal.read_text().split("\n")
+    rec = json.loads(lines[1])
+    rec.update(status="ok", value=None)
+    lines[1] = json.dumps(rec)
+    journal.write_text("\n".join(lines))
+    code = run([
+        "tune", "--data", str(pipeline["feats"]), "--out", str(studies),
+        "--model", "svm", "--trials", "3", "--seed", "1",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: tune: {journal}:2: bad journal line: ")
+    assert "status 'ok' with value None" in err
+    assert "\n" not in err.strip()
+
+
 def test_evaluate_without_features_fails_with_named_artifact(tmp_path, capsys):
     code = run([
         "evaluate", "--data", str(tmp_path / "nowhere"), "--studies", str(tmp_path),

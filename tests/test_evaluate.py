@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from attndecode import (
 )
 from attndecode.evaluate import build_cv_plan, evaluate_on_plan
 from attndecode.features import ERP_SAMPLES, N_FEATURES, ErpEpochs, FeatureMatrix, column_names
+from attndecode.forest import ForestError
 from attndecode.recording import CHANNELS
+from attndecode.svm import SvmError
 
 SVM_SPEC = ModelSpec("svm", {"C": 10.0, "gamma": 0.001})
 RF_SPEC = ModelSpec(
@@ -354,6 +358,67 @@ def test_model_serialization_roundtrip_bit_exact(tmp_path, spec):
     np.testing.assert_array_equal(
         model.predict(fm.values, fm.erp.data), loaded.predict(fm.values, fm.erp.data)
     )
+    text = (tmp_path / "model.json").read_text()
+    assert model_to_json(model_from_json(text)) == text
+
+
+@pytest.fixture(scope="module")
+def model_docs():
+    fm = make_feature_matrix(40, np.random.default_rng(20), planted_col=5)
+    return {
+        spec.kind: json.loads(model_to_json(train_full_model(fm, spec, seed=3)))
+        for spec in (SVM_SPEC, RF_SPEC)
+    }
+
+
+def _tree(doc):
+    return doc["rf"]["trees"][0]
+
+
+def _one_node_self_loop(doc):
+    # the root splits and sends every row back to itself
+    doc["rf"]["trees"][0] = dict(
+        feature=[0], threshold=[0.0], left=[0], right=[0], counts=[[1, 1]]
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, edit, error, message",
+    [
+        ("rf", lambda d: _tree(d)["threshold"].pop(), ForestError, "tree threshold has shape"),
+        ("rf", lambda d: _tree(d).update(counts=[c[:1] for c in _tree(d)["counts"]]),
+         ForestError, "tree counts has shape"),
+        ("rf", _one_node_self_loop, ForestError, "tree left: a child must come after its node"),
+        ("rf", lambda d: _tree(d)["right"].__setitem__(0, len(_tree(d)["right"])),
+         ForestError, "tree right: a child must come after its node"),
+        ("rf", lambda d: _tree(d)["left"].__setitem__(0, 1.5), ForestError,
+         "tree left must hold integers"),
+        ("rf", lambda d: _tree(d)["feature"].__setitem__(0, N_FEATURES), ForestError,
+         f"tree feature {N_FEATURES} >= {N_FEATURES}"),
+        ("svm", lambda d: d["svm"].update(C=2.0), EvalError, "differs from params"),
+        ("svm", lambda d: d["svm"].update(gamma=0.002), EvalError, "differs from params"),
+        ("svm", lambda d: [row.pop() for row in d["svm"]["support_vectors"]], EvalError,
+         f"model takes {N_FEATURES - 1} features"),
+        ("svm", lambda d: d["svm"]["dual_coef"].pop(), SvmError, "dual_coef must hold one value"),
+        ("svm", lambda d: d["svm"]["sv_index"].append(0), SvmError, "sv_index must hold one value"),
+        ("svm", lambda d: d["col_mean"].pop(), EvalError, "col_mean has shape"),
+        ("svm", lambda d: d["col_std"].append(1.0), EvalError, "col_std has shape"),
+        ("rf", lambda d: d["lda_w"].pop(), EvalError, "lda_w has shape"),
+        ("rf", lambda d: d["lda_b"].pop(), EvalError, "lda_b has shape"),
+    ],
+    ids=[
+        "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
+        "tree_child_past_end", "tree_child_not_integer", "tree_feature_past_n_features",
+        "svm_C_differs", "svm_gamma_differs", "support_vector_width", "dual_coef_length",
+        "sv_index_length", "col_mean_length", "col_std_length", "lda_w_shape", "lda_b_shape",
+    ],
+)
+def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):
+    # only loading runs: a model that loaded could hang in prediction
+    doc = copy.deepcopy(model_docs[kind])
+    edit(doc)
+    with pytest.raises(error, match=message):
+        model_from_json(json.dumps(doc))
 
 
 def test_model_json_schema_versioned():
@@ -362,8 +427,6 @@ def test_model_json_schema_versioned():
     model = train_full_model(fm, SVM_SPEC, seed=1)
     text = model_to_json(model)
     assert '"schema_version": 1' in text
-    import json
-
     doc = json.loads(text)
     doc["schema_version"] = 99
     with pytest.raises(EvalError, match="schema"):

@@ -232,8 +232,19 @@ def test_torn_final_line_is_dropped_and_resume_matches_straight_run(tmp_path, ca
          r"study\.jsonl:4: bad journal line: ValueError.*expected a 'trial' record"),
         (2, '{"kind": "trial", "index": 0}', r"study\.jsonl:2: bad journal line: KeyError"),
         (1, "not json", r"study\.jsonl:1: bad journal line: JSONDecodeError"),
+        (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "ok", "value": null}',
+         r"study\.jsonl:3: bad journal line: ValueError.*status 'ok' with value None"),
+        (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "ok", "value": NaN}',
+         r"study\.jsonl:3: bad journal line: ValueError.*status 'ok' with value nan"),
+        (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "failed", "value": 0.5}',
+         r"study\.jsonl:3: bad journal line: ValueError.*status 'failed' with value 0\.5"),
+        (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "done", "value": 0.5}',
+         r"study\.jsonl:3: bad journal line: ValueError.*status 'done' with value 0\.5"),
+        (3, '{"kind": "trial", "index": 7, "params": {"x": 1.0}, "status": "ok", "value": 0.5}',
+         r"study\.jsonl:3: bad journal line: ValueError.*index 7 is not the trial's position 1"),
     ],
-    ids=["unparsable_middle", "wrong_kind", "missing_keys", "bad_header"],
+    ids=["unparsable_middle", "wrong_kind", "missing_keys", "bad_header", "ok_null_value",
+         "ok_nan_value", "failed_with_value", "unknown_status", "index_not_position"],
 )
 def test_bad_journal_line_names_path_and_line(tmp_path, line_no, bad, message):
     space = SearchSpace((UniformDim("x", 0.0, 10.0),))
@@ -299,6 +310,28 @@ def test_shipped_spaces_match_hyperparameter_ranges():
     assert (by_name["min_samples_leaf"].lo, by_name["min_samples_leaf"].hi) == (2, 5)
     assert by_name["max_features"].choices == ("auto", "sqrt", "log2")
     assert by_name["criterion"].choices == ("gini", "entropy")
+
+
+@pytest.mark.parametrize(
+    "kind, dim",
+    [("svm", d) for d in svm_space().dims]
+    + [("rf", d) for d in rf_space().dims if not isinstance(d, CategoricalDim)],
+    ids=lambda v: v if isinstance(v, str) else v.name,
+)
+def test_space_endpoints_are_the_model_ranges(kind, dim):
+    from attndecode import RfHyperParams, SvmHyperParams
+
+    hp_cls, space = (SvmHyperParams, svm_space()) if kind == "svm" else (RfHyperParams, rf_space())
+    base = {d.name: d.choices[0] if isinstance(d, CategoricalDim) else d.lo for d in space.dims}
+    for v in (dim.lo, dim.hi):
+        assert getattr(hp_cls(**{**base, dim.name: v}), dim.name) == v
+    if isinstance(dim, IntDim):
+        outside = (dim.lo - 1, dim.hi + 1)
+    else:
+        outside = (np.nextafter(dim.lo, 0.0), np.nextafter(dim.hi, np.inf))
+    for v in outside:
+        with pytest.raises(ValueError, match=dim.name):
+            hp_cls(**{**base, dim.name: v})
 
 
 def test_rf_space_samples_build_valid_hyperparams():
