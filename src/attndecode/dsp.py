@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import butter, filtfilt as _ba_filtfilt, sosfiltfilt
 
 from .recording import BandDefinition, Recording
 
@@ -74,6 +72,8 @@ def design_butterworth_bandpass(order: int, lo: float, hi: float, fs: float) -> 
         raise DspError(
             f"band edges must satisfy 0 < lo < hi < fs/2, got [{lo}, {hi}] at fs={fs}"
         )
+    from scipy.signal import butter
+
     sos = butter(order, [lo, hi], btype="bandpass", fs=fs, output="sos")
     filt = IirFilter(sos=sos, order=order, lo=lo, hi=hi, fs=fs)
     if np.any(filt.pole_magnitudes() >= 1.0):
@@ -87,6 +87,8 @@ def design_butterworth_bandpass(order: int, lo: float, hi: float, fs: float) -> 
 
 def filtfilt(filt: IirFilter, x: np.ndarray) -> np.ndarray:
     """Zero-phase (forward-backward) filtering with reflected-edge padding."""
+    from scipy.signal import sosfiltfilt
+
     x = np.asarray(x, float)
     pad = filt.padlen()
     if len(x) <= pad:
@@ -120,6 +122,8 @@ def despike_mad(x: np.ndarray, k: float = DEFAULT_MAD_K) -> tuple[np.ndarray, np
     out = x.copy()
     interior = idx[(idx > good[0]) & (idx < good[-1])]
     if interior.size:
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(good, x[good], bc_type="natural")
         out[interior] = spline(interior)
     out[idx[idx < good[0]]] = x[good[0]]
@@ -232,6 +236,8 @@ def analytic_envelope(x: np.ndarray, band: BandDefinition, fs: float) -> np.ndar
     hi = min(band.hi, fs / 2.0 - 1e-9)
     if not 0 < band.lo < hi:
         raise DspError(f"band {band.name!r} edges [{band.lo}, {band.hi}] invalid")
+    from scipy.signal import butter, filtfilt as _ba_filtfilt
+
     b, a = butter(4, [band.lo, hi], btype="bandpass", fs=fs)
     y = _ba_filtfilt(b, a, x, method="gust")
 

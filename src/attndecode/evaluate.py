@@ -233,7 +233,13 @@ class FoldTransform:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FoldTransform":
-        return cls(**{f.name: np.array(doc[f.name], float) for f in fields(cls)})
+        arrays = {}
+        for f in fields(cls):
+            try:
+                arrays[f.name] = np.array(doc[f.name], float)
+            except (TypeError, ValueError) as e:  # a ragged list or a non-number
+                raise EvalError(f"{f.name}: {e}") from e
+        return cls(**arrays)
 
 
 def _with_lda_columns(values, erp_data, lda_w, lda_b) -> np.ndarray:

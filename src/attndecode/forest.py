@@ -156,9 +156,14 @@ class Tree:
             shape = getattr(self, name).shape
             if shape != ((n, 2) if name == "counts" else (n,)):
                 raise ForestError(f"tree {name} has shape {shape} for {n} nodes")
-        for name in ("feature", "left", "right"):
+        for name in ("feature", "left", "right", "counts"):
             if not np.issubdtype(getattr(self, name).dtype, np.integer):
                 raise ForestError(f"tree {name} must hold integers")
+        if np.any(self.counts < 0):
+            raise ForestError("tree counts must not be negative")
+        # a leaf's score is its face fraction, undefined for an empty leaf
+        if np.any(self.counts[self.feature < 0].sum(axis=1) == 0):
+            raise ForestError("tree counts: a leaf must hold at least one training row")
         inner = np.flatnonzero(self.feature >= 0)
         for name in ("left", "right"):
             child = getattr(self, name)[inner]

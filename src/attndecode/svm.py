@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 HP_RANGE = (1e-3, 1e3)
 DEFAULT_TOL = 1e-3
@@ -74,6 +73,8 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    from scipy.spatial.distance import cdist
+
     # cdist accumulates each pair independently, so equal rows produce
     # bit-equal distances regardless of their position (BLAS paths do not).
     return cdist(np.asarray(a, float), np.asarray(b, float), "sqeuclidean")

@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .forest import CRITERION_CHOICES, INT_RANGES, MAX_FEATURES_CHOICES, seed_key
 from .svm import HP_RANGE, SvmHyperParams
@@ -223,6 +222,8 @@ class _NumericDensity:
     """
 
     def __init__(self, obs_t: np.ndarray, lo_t: float, hi_t: float):
+        from scipy.special import ndtr
+
         self.obs = np.asarray(obs_t, float)
         self.lo = lo_t
         self.hi = hi_t
@@ -244,6 +245,8 @@ class _NumericDensity:
         )
 
     def sample_many(self, rng, m: int) -> np.ndarray:
+        from scipy.special import ndtr, ndtri
+
         n = len(self.obs)
         comp = rng.integers(0, n + 1, size=m)  # component 0 is the prior
         out = rng.uniform(self.lo, self.hi, size=m)

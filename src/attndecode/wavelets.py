@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .dsp import DspError
 
@@ -76,6 +75,8 @@ def cwt_power(x: np.ndarray, bank: WaveletBank) -> np.ndarray:
     n = len(x)
     if n < bank.max_len:
         raise DspError(f"signal length {n} shorter than longest kernel {bank.max_len}")
+    from scipy.fft import next_fast_len
+
     nfft = next_fast_len(n + bank.max_len - 1)
     spec = np.fft.fft(x, nfft)
     power = np.empty((bank.n_freqs, n))

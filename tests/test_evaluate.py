@@ -375,6 +375,11 @@ def _tree(doc):
     return doc["rf"]["trees"][0]
 
 
+def _leaf_counts(doc, counts):
+    leaf = _tree(doc)["feature"].index(-1)
+    _tree(doc)["counts"][leaf] = counts
+
+
 def _one_node_self_loop(doc):
     # the root splits and sends every row back to itself
     doc["rf"]["trees"][0] = dict(
@@ -405,12 +410,21 @@ def _one_node_self_loop(doc):
         ("svm", lambda d: d["col_std"].append(1.0), EvalError, "col_std has shape"),
         ("rf", lambda d: d["lda_w"].pop(), EvalError, "lda_w has shape"),
         ("rf", lambda d: d["lda_b"].pop(), EvalError, "lda_b has shape"),
+        ("rf", lambda d: _leaf_counts(d, [0, 0]), ForestError,
+         "tree counts: a leaf must hold at least one training row"),
+        ("rf", lambda d: _leaf_counts(d, [-1, 3]), ForestError, "tree counts must not be negative"),
+        ("rf", lambda d: _leaf_counts(d, [1.5, 3]), ForestError, "tree counts must hold integers"),
+        ("rf", lambda d: d["lda_w"][0].pop(), EvalError, "lda_w: .*inhomogeneous"),
+        ("svm", lambda d: d["col_std"].__setitem__(0, "wide"), EvalError,
+         "col_std: could not convert"),
     ],
     ids=[
         "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
         "tree_child_past_end", "tree_child_not_integer", "tree_feature_past_n_features",
         "svm_C_differs", "svm_gamma_differs", "support_vector_width", "dual_coef_length",
         "sv_index_length", "col_mean_length", "col_std_length", "lda_w_shape", "lda_b_shape",
+        "tree_leaf_counts_empty", "tree_counts_negative",
+        "tree_counts_not_integer", "lda_w_ragged", "col_std_not_numeric",
     ],
 )
 def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):
