@@ -408,15 +408,18 @@ def model_from_json(text: str) -> TrainedModel:
     doc = json.loads(text)
     if doc.get("schema_version") != SERIAL_VERSION:
         raise EvalError(f"unsupported model schema {doc.get('schema_version')!r}")
-    spec = ModelSpec(doc["kind"], doc["params"])
-    block = doc[spec.kind]
-    if spec.kind == "svm":
-        hp = SvmHyperParams(C=block["C"], gamma=block["gamma"])
-        inner = SvmModel(**_fields_from(SvmModel, block, hyperparams=hp))
-    else:
-        trees = tuple(Tree(**_fields_from(Tree, t)) for t in block["trees"])
-        inner = RfModel(trees, spec.hyperparams(), seed_key(block["seed"]), block["n_features"])
-    return TrainedModel(spec, FoldTransform.from_dict(doc), inner)
+    try:
+        spec = ModelSpec(doc["kind"], doc["params"])
+        block = doc[spec.kind]
+        if spec.kind == "svm":
+            hp = SvmHyperParams(C=block["C"], gamma=block["gamma"])
+            inner = SvmModel(**_fields_from(SvmModel, block, hyperparams=hp))
+        else:
+            trees = tuple(Tree(**_fields_from(Tree, t)) for t in block["trees"])
+            inner = RfModel(trees, spec.hyperparams(), seed_key(block["seed"]), block["n_features"])
+        return TrainedModel(spec, FoldTransform.from_dict(doc), inner)
+    except KeyError as e:
+        raise EvalError(f"model file has no field {e.args[0]!r}") from None
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -57,45 +57,34 @@ def n_split_features(max_features: str, n_features: int) -> int:
     return min(n_features, int(np.ceil(np.log2(n_features))))
 
 
-def gini_impurity(counts) -> float:
-    counts = np.asarray(counts, float)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+_IMPURITY_TABLES: dict[str, np.ndarray] = {}
+# best_split scores at most about this many (feature, row) cells at a time,
+# so a block's temporaries stay in cache and in memory the allocator reuses
+BLOCK_CELLS = 1 << 15
 
 
-def entropy_impurity(counts) -> float:
-    counts = np.asarray(counts, float)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
+def impurity_table(n: int, criterion: str) -> np.ndarray:
+    """W[ones, size] = size * impurity(ones / size) for 0 <= ones, size <= n.
 
-
-def _child_impurity_curve(n1_left, n_left, n1_total, n_total, criterion):
-    """Weighted child impurity for every prefix split, vectorized."""
-    n_right = n_total - n_left
-    n1_right = n1_total - n1_left
-    if criterion == "gini":
-
-        def imp(ones, size):
-            p = ones / size
-            return 1.0 - p * p - (1.0 - p) ** 2
-
-    else:
-
-        def imp(ones, size):
-            p = ones / size
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = -(np.where(p > 0, p * np.log2(p), 0.0)) - np.where(
+    One table per criterion, rebuilt only when a node larger than any before
+    it needs scoring. Each entry depends on its own two counts only, so a
+    table of any size holds the same bits. Entries with size 0 or
+    ones > size are never read. W.T is C-contiguous.
+    """
+    w = _IMPURITY_TABLES.get(criterion)
+    if w is None or len(w) <= n:
+        size = np.arange(n + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = size / size[:, None]  # face share, one row per size
+            if criterion == "gini":
+                imp = 1.0 - p * p - (1.0 - p) ** 2
+            else:
+                imp = -(np.where(p > 0, p * np.log2(p), 0.0)) - np.where(
                     p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0
                 )
-            return h
-
-    return (n_left * imp(n1_left, n_left) + n_right * imp(n1_right, n_right)) / n_total
+            w = (size[:, None] * imp).T
+        _IMPURITY_TABLES[criterion] = w
+    return w
 
 
 def best_split(
@@ -109,28 +98,44 @@ def best_split(
 
     Matches a brute-force search exactly, including the first-encountered
     tie rule over features in ascending index order and thresholds ascending
-    (feature_subset must be sorted). All candidate columns are scored in one
-    vectorized pass.
+    (feature_subset must be sorted). A candidate's weighted child impurity
+    depends only on integer counts, so every score is two lookups in
+    impurity_table.
     """
     n = len(y01)
     total1 = int(y01.sum())
-    sub = x[:, feature_subset]
-    order = np.argsort(sub, axis=0, kind="stable")
-    sv = np.take_along_axis(sub, order, axis=0)
-    cum1 = np.cumsum(y01[order], axis=0)[:-1]
-    sizes = np.arange(1, n)[:, None]
-    valid = (sv[1:] > sv[:-1]) & (sizes >= min_samples_leaf)
-    valid &= (n - sizes) >= min_samples_leaf
-    if not valid.any():
+    w = impurity_table(n, criterion)
+    # W[ones, size] sits at size * stride + ones, so the right child's
+    # W[total1 - ones, n - size] sits at `far` minus the left child's offset
+    by_size, stride = w.T.ravel(), len(w)
+    far = n * stride + total1
+    n_left = np.arange(1, n)
+    leaf_ok = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+    if not leaf_ok.any():
         return None
-    with np.errstate(invalid="ignore"):
-        score = _child_impurity_curve(cum1, sizes, total1, n, criterion)
-    score = np.where(valid, score, np.inf)
-    # Flattening feature-major keeps argmin's first-hit rule aligned with
-    # the feature-then-threshold tie-break order.
-    j = int(np.argmin(score.T.ravel()))
-    f_idx, row = divmod(j, n - 1)
-    return int(feature_subset[f_idx]), float(0.5 * (sv[row, f_idx] + sv[row + 1, f_idx]))
+    best, best_score = None, np.inf
+    step = max(1, BLOCK_CELLS // n)
+    for start in range(0, len(feature_subset), step):
+        # Feature-major: row f holds block[f], so argmin's first hit follows
+        # the feature-then-threshold tie-break order.
+        block = feature_subset[start : start + step]
+        sub = x.T[block]
+        # Two sorts, any tie order: at every boundary sv[r] < sv[r + 1] the
+        # rows left of it are exactly those with value <= sv[r].
+        order = np.argsort(sub, axis=1)
+        sv = np.sort(sub, axis=1)
+        offset = np.cumsum(y01[order], axis=1)[:, :-1]
+        offset += n_left * stride
+        score = by_size[offset]
+        score += by_size[np.subtract(far, offset, out=offset)]
+        score /= n
+        score[~((sv[:, 1:] > sv[:, :-1]) & leaf_ok)] = np.inf
+        j = int(np.argmin(score))
+        if score.flat[j] < best_score:  # strict, so an earlier block keeps a tie
+            best_score = score.flat[j]
+            f_idx, row = divmod(j, n - 1)
+            best = int(block[f_idx]), float(0.5 * (sv[f_idx, row] + sv[f_idx, row + 1]))
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,6 +228,8 @@ def _grow_tree(
         ):
             return node
         subset = np.sort(rng.choice(d, size=m, replace=False))
+        # called through the module global, positionally: a profiler may
+        # rebind forest.best_split and read y01 and the subset by position
         split = best_split(x[idx], y01[idx], subset, hp.min_samples_leaf, hp.criterion)
         if split is None:
             return node

@@ -380,6 +380,21 @@ def _leaf_counts(doc, counts):
     _tree(doc)["counts"][leaf] = counts
 
 
+MISSING_FIELDS = [
+    ("rf", ("lda_w",)),
+    ("svm", ("svm",)),
+    ("svm", ("svm", "dual_coef")),
+    ("rf", ("rf", "trees")),
+    ("rf", ("kind",)),
+]
+
+
+def _pop_field(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]
+
+
 def _one_node_self_loop(doc):
     # the root splits and sends every row back to itself
     doc["rf"]["trees"][0] = dict(
@@ -417,6 +432,11 @@ def _one_node_self_loop(doc):
         ("rf", lambda d: d["lda_w"][0].pop(), EvalError, "lda_w: .*inhomogeneous"),
         ("svm", lambda d: d["col_std"].__setitem__(0, "wide"), EvalError,
          "col_std: could not convert"),
+        *[
+            (kind, lambda d, path=path: _pop_field(d, path), EvalError,
+             f"model file has no field '{path[-1]}'")
+            for kind, path in MISSING_FIELDS
+        ],
     ],
     ids=[
         "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
@@ -425,6 +445,7 @@ def _one_node_self_loop(doc):
         "sv_index_length", "col_mean_length", "col_std_length", "lda_w_shape", "lda_b_shape",
         "tree_leaf_counts_empty", "tree_counts_negative",
         "tree_counts_not_integer", "lda_w_ragged", "col_std_not_numeric",
+        *[f"missing_{path[-1]}" for _, path in MISSING_FIELDS],
     ],
 )
 def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):

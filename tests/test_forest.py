@@ -3,14 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from attndecode import RfHyperParams, rf_predict_proba, rf_train
+from attndecode import RfHyperParams, forest, rf_predict_proba, rf_train
 from attndecode.forest import (
     ForestError,
     RfModel,
     Tree,
     best_split,
-    entropy_impurity,
-    gini_impurity,
+    impurity_table,
     n_split_features,
 )
 
@@ -87,11 +86,45 @@ def test_threshold_separable_every_tree_perfect():
 
 
 def test_impurity_identities():
-    assert gini_impurity((5, 0)) == 0.0
-    assert entropy_impurity((7, 0)) == 0.0
-    assert gini_impurity((3, 3)) == pytest.approx(0.5)
-    assert entropy_impurity((3, 3)) == pytest.approx(1.0)
-    assert gini_impurity((0, 0)) == 0.0
+    # a row of the table divided by its size is the node's impurity
+    for criterion in ("gini", "entropy"):
+        w = impurity_table(8, criterion)
+        assert w[0, 5] == 0.0 and w[7, 7] == 0.0  # pure nodes
+    assert impurity_table(6, "gini")[3, 6] / 6 == pytest.approx(0.5)
+    assert impurity_table(6, "entropy")[3, 6] / 6 == pytest.approx(1.0)
+
+
+def curve_before_tables(n1_left, n_left, n1_total, n_total, criterion):
+    """Weighted child impurity per prefix split, as computed elementwise
+    before scores came from impurity_table."""
+
+    def imp(ones, size):
+        p = ones / size
+        if criterion == "gini":
+            return 1.0 - p * p - (1.0 - p) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -(np.where(p > 0, p * np.log2(p), 0.0)) - np.where(
+                p < 1, (1 - p) * np.log2(np.maximum(1 - p, 1e-300)), 0.0
+            )
+
+    n_right = n_total - n_left
+    return (n_left * imp(n1_left, n_left) + n_right * imp(n1_total - n1_left, n_right)) / n_total
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_table_scores_equal_elementwise_curve_bit_for_bit(criterion):
+    rng = np.random.default_rng(11)
+    # the table grows with n, then serves every prefix length from 700 down
+    # to 1 from its largest size, so every SIMD tail length is hit
+    for n in [*range(2, 702, 23), *range(701, 1, -1)]:
+        y01 = rng.integers(0, 2, n)
+        n1_left = np.cumsum(y01)[:-1]
+        n_left = np.arange(1, n)
+        total1 = int(y01.sum())
+        w = impurity_table(n, criterion)
+        got = (w[n1_left, n_left] + w[total1 - n1_left, n - n_left]) / n
+        want = curve_before_tables(n1_left, n_left, total1, n, criterion)
+        assert np.array_equal(got, want), f"n {n}"
 
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
@@ -105,6 +138,48 @@ def test_split_matches_brute_force_on_random_data(criterion):
         got = best_split(x, y01, np.arange(5), 2, criterion)
         want = brute_force_split(x, y01, 2, criterion)
         assert got == want, f"seed {seed}"
+
+
+def tie_heavy_problem(rng):
+    """Four distinct values per feature over 30 rows, both classes present."""
+    x = rng.integers(0, 4, (30, 5)).astype(float)
+    y01 = rng.integers(0, 2, size=30)
+    if y01.sum() in (0, 30):
+        y01[0] = 1 - y01[0]
+    return x, y01
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_split_matches_brute_force_on_tie_heavy_data(criterion):
+    for seed in range(20):
+        x, y01 = tie_heavy_problem(np.random.default_rng(seed))
+        got = best_split(x, y01, np.arange(5), 2, criterion)
+        want = brute_force_split(x, y01, 2, criterion)
+        assert got == want, f"seed {seed}"
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_split_ignores_row_order_on_tie_heavy_data(criterion):
+    # the sort that orders each column may order tied values any way
+    for seed in range(20):
+        rng = np.random.default_rng(100 + seed)
+        x, y01 = tie_heavy_problem(rng)
+        want = best_split(x, y01, np.arange(5), 2, criterion)
+        for _ in range(5):
+            p = rng.permutation(len(y01))
+            assert best_split(x[p], y01[p], np.arange(5), 2, criterion) == want, f"seed {seed}"
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_split_search_in_blocks_keeps_the_first_tie(monkeypatch, criterion):
+    # columns come in equal pairs, shifted by one so that each pair straddles
+    # the edge between two-column blocks and its scores tie across blocks
+    monkeypatch.setattr(forest, "BLOCK_CELLS", 60)
+    for seed in range(10):
+        x, y01 = tie_heavy_problem(np.random.default_rng(200 + seed))
+        x = np.repeat(x, 2, axis=1)[:, 1:]
+        want = brute_force_split(x, y01, 2, criterion)
+        assert best_split(x, y01, np.arange(x.shape[1]), 2, criterion) == want, f"seed {seed}"
 
 
 def test_split_none_when_all_features_constant():
@@ -259,3 +334,29 @@ def test_train_preconditions():
         rf_train(
             x[:3], np.array([0, 1, 0]), default_hp(min_samples_split=4), seed=0
         )
+
+
+def test_every_split_search_goes_through_the_module_binding(monkeypatch):
+    # a profiler that rebinds forest.best_split must see every search, with
+    # the node's labels at position 1 and its feature subset at position 2
+    seen = []
+    search = forest.best_split
+
+    def counting(*args):
+        seen.append((len(args[1]), int(args[1].sum()), len(args[2])))
+        return search(*args)
+
+    monkeypatch.setattr(forest, "best_split", counting)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((90, 16))
+    y01 = rng.integers(0, 2, 90)
+    hp = default_hp(n_estimators=4, max_depth=6, min_samples_split=6, max_features="sqrt")
+    model = rf_train(x, y01, hp, seed=5)
+    searched = []
+    for tree in model.trees:
+        for i, depth, size, _ in walk_nodes(tree):  # preorder, the order nodes grow in
+            c = tree.counts[i]
+            if depth < hp.max_depth and size >= hp.min_samples_split and c.min() > 0:
+                searched.append((size, int(c[1]), n_split_features(hp.max_features, 16)))
+    assert any(tree.feature[0] >= 0 for tree in model.trees)
+    assert seen == searched
