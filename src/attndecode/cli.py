@@ -249,46 +249,40 @@ def cmd_evaluate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: with prefix matching a flag one stage
+    # lacks could resolve to a longer one (synth --trials to --trials-per-block)
     parser = argparse.ArgumentParser(
         prog="attndecode",
         description="Offline EEG sustained-attention decoding pipeline",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, out=True):
+    def stage(name, help, func, data=True, decode=False):
+        """A subcommand with the flags it reads: only tune and evaluate take
+        --model and --trials."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         if data:
             p.add_argument("--data", default=None, help="input artifact path")
-        if out:
-            p.add_argument("--out", default=None, help="output artifact path")
+        p.add_argument("--out", default=None, help="output artifact path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="RunConfig JSON file")
-        p.add_argument("--model", choices=MODEL_CHOICES, default=None)
-        p.add_argument("--trials", type=int, default=None, help="tuning budget")
+        if decode:
+            p.add_argument("--model", choices=MODEL_CHOICES, default=None)
+            p.add_argument("--trials", type=int, default=None, help="tuning budget")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p)
+    p = stage("synth", "generate a synthetic dataset", cmd_synth, data=False)
     p.add_argument("--snr", choices=synth.SNR_PRESETS, default="easy")
     p.add_argument("--blocks", type=int, default=8)
     p.add_argument("--trials-per-block", type=int, default=40)
     p.add_argument("--subject", default="synth")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("preprocess", help="run the preprocessing chain")
-    common(p, data=True)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("features", help="extract the 640-column feature matrix")
-    common(p, data=True)
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("tune", help="TPE hyperparameter search")
-    common(p, data=True)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("evaluate", help="cross-validate best params and report")
-    common(p, data=True)
+    stage("preprocess", "run the preprocessing chain", cmd_preprocess)
+    stage("features", "extract the 640-column feature matrix", cmd_features)
+    stage("tune", "TPE hyperparameter search", cmd_tune, decode=True)
+    p = stage("evaluate", "cross-validate best params and report", cmd_evaluate, decode=True)
     p.add_argument("--studies", required=True, help="directory with study journals")
-    p.set_defaults(func=cmd_evaluate)
     return parser
 
 

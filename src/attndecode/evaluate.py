@@ -332,7 +332,7 @@ def cross_validate(fm: FeatureMatrix, spec: ModelSpec, seed: int = 0) -> EvalRep
 
 # -- full trained model (for deployment-style scoring and serialization) -------
 
-SERIAL_VERSION = 1
+SERIAL_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,14 +400,18 @@ def model_to_json(model: TrainedModel) -> str:
         **model.transform.to_dict(),
         model.spec.kind: block,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def model_from_json(text: str) -> TrainedModel:
     """Parse a model file; arrays that do not fit together are refused."""
     doc = json.loads(text)
-    if doc.get("schema_version") != SERIAL_VERSION:
-        raise EvalError(f"unsupported model schema {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if version != SERIAL_VERSION:
+        raise EvalError(
+            f"model file is schema {version!r}; this version reads {SERIAL_VERSION}"
+            " — re-run evaluate"
+        )
     try:
         spec = ModelSpec(doc["kind"], doc["params"])
         block = doc[spec.kind]

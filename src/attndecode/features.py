@@ -180,19 +180,17 @@ def lda_project(w: np.ndarray, b: float, epochs: np.ndarray) -> np.ndarray:
 def _moments(x: np.ndarray):
     """Mean, variance, skewness, energy and excess kurtosis over the last
     axis; a flat slice (zero variance) has skewness and kurtosis 0."""
+    # Products, sqrt and division only: each is exactly rounded, so the bits
+    # do not depend on which SIMD path numpy takes (array ** does).
     mean = x.mean(axis=-1)
     d = x - mean[..., None]
-    m2 = np.mean(d**2, axis=-1)
+    d2 = d * d
+    m2 = d2.mean(axis=-1)
     flat = m2 == 0.0
-    # m2**1.5 and m2**2 are raised one Python float at a time: numpy's array
-    # ** (and m2 * m2) can differ from scalar pow in the last bit, which would
-    # move the features off their per-slice values.
-    safe = np.where(flat, 1.0, m2).ravel().tolist()
-    norm3 = np.reshape([v**1.5 for v in safe], m2.shape)
-    norm4 = np.reshape([v**2 for v in safe], m2.shape)
-    skew = np.where(flat, 0.0, np.mean(d**3, axis=-1) / norm3)
-    kurt = np.where(flat, 0.0, np.mean(d**4, axis=-1) / norm4 - 3.0)
-    return mean, m2, skew, np.sum(x**2, axis=-1), kurt
+    safe = np.where(flat, 1.0, m2)
+    skew = np.where(flat, 0.0, (d2 * d).mean(axis=-1) / (safe * np.sqrt(safe)))
+    kurt = np.where(flat, 0.0, (d2 * d2).mean(axis=-1) / (safe * safe) - 3.0)
+    return mean, m2, skew, np.sum(x * x, axis=-1), kurt
 
 
 # -- time-frequency features -------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import attndecode
 from attndecode.cli import RunConfig, CliError, main
 from attndecode.recording import DEFAULT_BANDS
 
@@ -177,6 +182,26 @@ def test_synth_invalid_flags_fail(tmp_path, capsys):
     assert "error: synth:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--trials", "5"],  # not read as --trials-per-block
+        ["synth", "--model", "svm"],
+        ["preprocess", "--data", "d", "--trials", "5"],
+        ["features", "--data", "d", "--model", "svm"],
+        ["tune", "--data", "d", "--mod", "svm"],  # no prefix matching
+    ],
+    ids=["synth_trials", "synth_model", "preprocess_trials", "features_model",
+         "tune_abbreviated_flag"],
+)
+def test_flags_a_stage_does_not_read_are_refused(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_runconfig_roundtrip():
     cfg = RunConfig(model="svm", trials=7, seed=3, mad_k=4.5, smooth_k=9)
     text = cfg.to_json()
@@ -252,3 +277,66 @@ def test_runconfig_requires_default_band_names_in_order():
         RunConfig(bands=bands[1:] + bands[:1])
     with pytest.raises(CliError, match="bands must be named"):
         RunConfig(bands=bands[:4])
+
+
+# Synth, preprocess and features in one child process; prints whether numpy
+# dispatches to X86_V4 (AVX-512) kernels in that process.
+_CHILD_PIPELINE = """
+import sys
+from numpy._core._multiarray_umath import __cpu_features__
+from attndecode.cli import main
+root = sys.argv[1]
+for argv in (
+    ["synth", "--out", root + "/ds", "--seed", "5", "--blocks", "2", "--trials-per-block", "8"],
+    ["preprocess", "--data", root + "/ds", "--out", root + "/pre"],
+    ["features", "--data", root + "/pre", "--out", root + "/f"],
+):
+    assert main(argv) == 0, argv
+print(__cpu_features__["X86_V4"])
+"""
+_NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def test_signal_artifacts_do_not_depend_on_avx512(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if not __cpu_features__.get("X86_V4"):
+        pytest.skip("this CPU has no X86_V4 (AVX-512) paths to mask: both runs would "
+                    "take the same numpy kernels")
+    src = str(Path(attndecode.__file__).resolve().parents[1])
+    children = {}
+    for name, mask in (("native", None), ("masked", _NO_AVX512)):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if mask:
+            env["NPY_DISABLE_CPU_FEATURES"] = mask
+        children[name] = subprocess.Popen(
+            [sys.executable, "-c", _CHILD_PIPELINE, str(tmp_path / name)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    x86_v4 = {}
+    try:
+        for name, child in children.items():
+            out, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
+            x86_v4[name] = out.split()[-1]
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()
+    assert x86_v4 == {"native": "True", "masked": "False"}
+
+    native, masked = tmp_path / "native", tmp_path / "masked"
+    for rel in ("ds/recording.csv", "pre/recording.csv", "f/erp_epochs.csv"):
+        assert (native / rel).read_bytes() == (masked / rel).read_bytes(), rel
+    # the TF columns still follow numpy's SIMD log10 in db_normalize
+    rows = [(root / "f/features.csv").read_text().split("\n") for root in (native, masked)]
+    assert len(rows[0]) == len(rows[1])
+    header = rows[0][0].split(",")
+    moved = {
+        header[j]
+        for a, b in zip(*rows)
+        for j, (x, y) in enumerate(zip(a.split(","), b.split(",")))
+        if x != y
+    }
+    assert sorted(c for c in moved if not c.startswith("tf:")) == []

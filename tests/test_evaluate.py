@@ -437,6 +437,8 @@ def _one_node_self_loop(doc):
              f"model file has no field '{path[-1]}'")
             for kind, path in MISSING_FIELDS
         ],
+        ("svm", lambda d: d.update(schema_version=1), EvalError,
+         "^model file is schema 1; this version reads 2 — re-run evaluate$"),
     ],
     ids=[
         "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
@@ -445,7 +447,7 @@ def _one_node_self_loop(doc):
         "sv_index_length", "col_mean_length", "col_std_length", "lda_w_shape", "lda_b_shape",
         "tree_leaf_counts_empty", "tree_counts_negative",
         "tree_counts_not_integer", "lda_w_ragged", "col_std_not_numeric",
-        *[f"missing_{path[-1]}" for _, path in MISSING_FIELDS],
+        *[f"missing_{path[-1]}" for _, path in MISSING_FIELDS], "schema_v1",
     ],
 )
 def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):
@@ -461,7 +463,8 @@ def test_model_json_schema_versioned():
     fm = make_feature_matrix(40, rng)
     model = train_full_model(fm, SVM_SPEC, seed=1)
     text = model_to_json(model)
-    assert '"schema_version": 1' in text
+    assert '"schema_version":2' in text
+    assert "\n" not in text.rstrip("\n")  # compact: one line
     doc = json.loads(text)
     doc["schema_version"] = 99
     with pytest.raises(EvalError, match="schema"):

@@ -1,3 +1,6 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from attndecode.features import (
     N_HILBERT_COLS,
     N_LDA_COLS,
     N_TF_COLS,
+    _moments,
     column_names,
     load_tf_class_maps,
     parse_column,
@@ -294,6 +298,65 @@ def test_envelope_statistics_match_direct_oracle():
     np.testing.assert_allclose(
         got, [mean, med, std, skew, energy, kurt], rtol=1e-12, atol=1e-12
     )
+
+
+def _exact_moments(row):
+    """Exact mean, m2, skewness, |d|^3 scale (mean |d|^3 / m2^1.5) and
+    kurtosis ratio m4 / m2^2 of a row of doubles, from Fractions; the two
+    square roots are taken to 60 digits."""
+    xs = [Fraction(float(v)) for v in row]
+    n = len(xs)
+    mu = sum(xs) / n
+    d = [v - mu for v in xs]
+    m2 = sum(v * v for v in d) / n
+    with localcontext() as ctx:
+        ctx.prec = 60
+        norm3 = Decimal(m2.numerator) / Decimal(m2.denominator)
+        norm3 *= norm3.sqrt()
+
+        def standardized(m):
+            return float(Decimal(m.numerator) / Decimal(m.denominator) / norm3)
+
+        skew = standardized(sum(v**3 for v in d) / n)
+        abs3 = standardized(sum(abs(v) ** 3 for v in d) / n)
+    return float(mu), float(m2), skew, abs3, float(sum(v**4 for v in d) / n / (m2 * m2))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 3e2, 1e6])
+def test_moments_match_exact_rational_reference(scale):
+    # Relative errors are taken against each moment's natural size: skewness
+    # against mean |d|^3 / m2^1.5 (skewness itself can cancel to near 0), and
+    # kurtosis as the ratio m4 / m2^2 before the 3 is taken off.
+    rng = np.random.default_rng(int(scale * 1e6) % 9973)
+    rows = [rng.standard_normal(n) * scale + rng.uniform(-3, 3) * scale
+            for n in (5, 17, 50, 250)]
+    rows += [rng.exponential(scale, 40), -rows[2]]
+    for row in rows:
+        mean, m2, skew, energy, kurt = _moments(row)
+        e_mean, e_m2, e_skew, e_abs3, e_ratio = _exact_moments(row)
+        np.testing.assert_allclose([mean, m2], [e_mean, e_m2], rtol=1e-14)
+        assert abs(skew - e_skew) <= 1e-14 * e_abs3
+        np.testing.assert_allclose(kurt + 3.0, e_ratio, rtol=1e-14)
+        assert energy == np.sum(row * row)
+    # negating a row negates mean and skewness exactly and keeps the rest
+    a, b = _moments(rows[2]), _moments(rows[-1])
+    assert (a[0], a[2]) == (-b[0], -b[2]) and (a[1], a[3], a[4]) == (b[1], b[3], b[4])
+
+
+def test_moments_flat_slice_rule_on_tf_layout():
+    # _tf_extract passes [trials, freqs * time]: a flat trial gets skewness and
+    # kurtosis 0, without a division by zero, and leaves the other rows alone
+    db = np.random.default_rng(4).standard_normal((5, 6, 30)) * 4.0 - 2.0
+    db[1] = -7.5
+    db[3] = 0.0
+    x = db.reshape(5, -1)
+    with np.errstate(all="raise"):
+        mean, m2, skew, energy, kurt = _moments(x)
+    assert m2[1] == m2[3] == 0.0
+    assert skew[1] == kurt[1] == skew[3] == kurt[3] == 0.0
+    assert np.all(skew[[0, 2, 4]] != 0.0) and np.all(kurt[[0, 2, 4]] != 0.0)
+    for i in range(5):
+        assert np.array_equal(np.array(_moments(x[i])), np.array(_moments(x)).T[i])
 
 
 def test_envelope_statistics_zero_variance_rule():
