@@ -1,10 +1,14 @@
-"""Dataset directory I/O: {meta.json, recording.csv} per recording.
+"""Dataset directory I/O ({meta.json, recording.csv} per recording) and the
+one CSV codec every pipeline artifact goes through.
 
-recording.csv carries one row per sample:
+recording.csv carries one row per sample,
     t_s,Fz,C3,Cz,C4,Pz,PO7,Oz,PO8,block,phase,trial,label
-with trial/label empty outside activity. Floats are written with repr so a
-write -> load round trip is exact and two writes of the same recording are
-byte-identical.
+with trial/label empty outside activity.
+
+The codec writes a header of column names, then one row per line, each
+ending in "\n"; floats are written with repr, so a write -> read round trip
+is bit-exact and two writes of the same data are byte-identical. A file
+that does not parse fails in one line naming path:line.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .recording import CHANNELS, NO_LABEL, NO_TRIAL, Recording
+from .recording import CHANNELS, NO_LABEL, NO_TRIAL, Recording, RecordingError
 
 META_NAME = "meta.json"
 CSV_NAME = "recording.csv"
 
-_CSV_HEADER = "t_s," + ",".join(CHANNELS) + ",block,phase,trial,label"
+_CSV_COLUMNS = ("t_s", *CHANNELS, "block", "phase", "trial", "label")
 _META_KEYS = ("subject_id", "fs", "channel_names", "n_blocks", "block_labels")
 _META_TYPES = {
     "fs": float,
@@ -28,6 +32,9 @@ _META_TYPES = {
     "channel_names": tuple,
     "block_labels": tuple,
 }
+
+# Rows formatted per write: bounds the text held in memory at once.
+CSV_CHUNK_ROWS = 4096
 
 
 class DatasetError(ValueError):
@@ -42,6 +49,98 @@ class DatasetError(ValueError):
         super().__init__(ctx + message)
         self.path = path
         self.line = line
+
+
+# -- the artifact CSV codec ----------------------------------------------------
+
+
+def write_csv(path, columns, cells) -> None:
+    """Write a header of column names, then row i of the 1-D arrays in cells
+    (floats as repr, anything else as str)."""
+    n = len(cells[0])
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(columns) + "\n")
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            chunk = [c[lo : lo + CSV_CHUNK_ROWS] for c in cells]
+            text = [map(repr if c.dtype.kind == "f" else str, c.tolist()) for c in chunk]
+            f.write("\n".join(map(",".join, zip(*text))) + "\n")
+
+
+def read_header(path) -> list[str]:
+    """The column names on the first line of an artifact CSV."""
+    with open(path, encoding="utf-8") as f:
+        return f.readline().rstrip("\n").split(",")
+
+
+def read_csv(path, columns, text, convert, error=DatasetError, row_prefix=""):
+    """The rows of an artifact CSV whose header is columns.
+
+    Returns the cells of every column not named in text as one float array
+    [n_rows, n_numbers], and the text columns as arrays of their values:
+    convert maps one row's text cells to their values and raises ValueError
+    to refuse them. Every refusal raises error naming path:line; row_prefix
+    leads the message of a refused row.
+    """
+    content = Path(path).read_text(encoding="utf-8")
+    n_commas = content.count(",")
+    header, *rows = content.split("\n")
+    del content
+    if rows and rows[-1] == "":
+        rows.pop()
+    if header.split(",") != list(columns):
+        raise error(f"{path}:1: bad header {header!r}, expected {','.join(columns)!r}")
+    if not rows:
+        raise error(f"{path}:2: {row_prefix}no data rows")
+    text_at = [columns.index(name) for name in text]
+    number_at = [j for j in range(len(columns)) if j not in text_at]
+    kw = dict(delimiter=",", comments=None, ndmin=2)
+    try:
+        if "" in rows:  # loadtxt would skip a blank line
+            raise ValueError("blank line")
+        numbers = np.loadtxt(rows, usecols=number_at, **kw)
+        cells = np.loadtxt(rows, dtype=str, usecols=text_at, **kw)
+        if n_commas != (len(rows) + 1) * (len(columns) - 1):  # fields past usecols
+            raise ValueError("extra fields")
+    except ValueError as e:
+        _raise_first_bad_line(path, rows, len(columns), number_at, error, row_prefix, e)
+
+    finite = np.isfinite(numbers)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise error(
+            f"{path}:{i + 2}: {row_prefix}non-finite {columns[number_at[j]]} = {numbers[i, j]}"
+        )
+    # convert each distinct row once, in order of first appearance
+    keys: dict = {}
+    codes = np.array([keys.setdefault(row, len(keys)) for row in map(tuple, cells.tolist())])
+    values = []
+    for k, key in enumerate(keys):
+        try:
+            values.append(convert(*key))
+        except ValueError as e:
+            raise error(f"{path}:{np.argmax(codes == k) + 2}: {row_prefix}{e}") from None
+    return numbers, [np.array(col)[codes] for col in zip(*values)]
+
+
+def _raise_first_bad_line(path, rows, n_fields, number_at, error, row_prefix, refusal):
+    """Name the first row np.loadtxt refused; this never returns data."""
+    for line_no, row in enumerate(rows, start=2):
+        where = f"{path}:{line_no}: {row_prefix}"
+        parts = row.split(",")
+        if len(parts) != n_fields:
+            raise error(f"{where}{len(parts)} fields, expected {n_fields}") from None
+        for cell in (parts[j] for j in number_at):
+            try:
+                # loadtxt reads float()'s syntax without digit separators
+                if "_" in cell or not cell.isascii():
+                    raise ValueError(f"could not convert string to float: {cell!r}")
+                float(cell)
+            except ValueError as e:
+                raise error(f"{where}{e}") from None
+    raise error(f"{path}: {refusal}") from refusal
+
+
+# -- recordings ------------------------------------------------------------------
 
 
 def write_recording(rec: Recording, path) -> None:
@@ -63,19 +162,18 @@ def write_recording(rec: Recording, path) -> None:
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    fs = rec.fs
-    cols = rec.samples
-    lines = [_CSV_HEADER]
-    for i in range(rec.n_samples):
-        vals = ",".join(repr(float(cols[c, i])) for c in range(rec.n_channels))
-        t = rec.trial[i]
-        trial_s = "" if t == NO_TRIAL else str(int(t))
-        lab = rec.label[i]
-        label_s = "" if lab == NO_LABEL else str(lab)
-        lines.append(
-            f"{i / fs!r},{vals},{int(rec.block[i])},{rec.phase[i]},{trial_s},{label_s}"
-        )
-    (out / CSV_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    write_csv(out / CSV_NAME, _CSV_COLUMNS, [
+        np.arange(rec.n_samples) / rec.fs,
+        *rec.samples,
+        rec.block,
+        rec.phase,
+        np.where(rec.trial == NO_TRIAL, "", rec.trial.astype(str)),
+        np.where(rec.label == NO_LABEL, "", rec.label),
+    ])
+
+
+def _annotation(block, phase, trial, label):
+    return int(block), phase, NO_TRIAL if trial == "" else int(trial), label or NO_LABEL
 
 
 def load_recording(path) -> Recording:
@@ -114,57 +212,6 @@ def load_recording(path) -> Recording:
         raise DatasetError(
             f"channel names {channel_names} do not match {CHANNELS}", path=meta_path
         )
-
-    text = csv_path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DatasetError("empty file", path=csv_path, line=1)
-    header = lines[0]
-    n_header_cols = len(header.split(","))
-    if n_header_cols != len(_CSV_HEADER.split(",")):
-        raise DatasetError(
-            f"channel count mismatch: header has {n_header_cols} columns, "
-            f"expected {len(_CSV_HEADER.split(','))} ({_CSV_HEADER})",
-            path=csv_path,
-            line=1,
-        )
-    if header != _CSV_HEADER:
-        raise DatasetError(
-            f"bad header {header!r}, expected {_CSV_HEADER!r}", path=csv_path, line=1
-        )
-
-    n = len(lines) - 1
-    if n == 0:
-        raise DatasetError("no sample rows", path=csv_path, line=2)
-    n_ch = len(CHANNELS)
-    samples = np.empty((n_ch, n))
-    block = np.empty(n, dtype=np.int64)
-    phase = np.empty(n, dtype="U8")
-    trial = np.empty(n, dtype=np.int64)
-    label = np.empty(n, dtype="U5")
-
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        parts = line.split(",")
-        if len(parts) != n_header_cols:
-            raise DatasetError(
-                f"expected {n_header_cols} fields, got {len(parts)}",
-                path=csv_path,
-                line=lineno,
-            )
-        try:
-            for c in range(n_ch):
-                samples[c, i] = float(parts[1 + c])
-            block[i] = int(parts[1 + n_ch])
-        except ValueError as e:
-            raise DatasetError(f"malformed row: {e}", path=csv_path, line=lineno) from e
-        phase[i] = parts[2 + n_ch]
-        t = parts[3 + n_ch]
-        trial[i] = NO_TRIAL if t == "" else int(t)
-        label[i] = parts[4 + n_ch] or NO_LABEL
-
     block_labels = meta["block_labels"]
     if len(block_labels) != meta["n_blocks"]:
         raise DatasetError(
@@ -172,18 +219,25 @@ def load_recording(path) -> Recording:
             path=meta_path,
         )
 
-    _check_trial_counts(block, phase, trial, meta, csv_path)
-    _check_block_labels(block, phase, label, block_labels, csv_path)
+    header = read_header(csv_path)
+    if len(header) != len(_CSV_COLUMNS):
+        raise DatasetError(
+            f"channel count mismatch: header has {len(header)} columns, "
+            f"expected {len(_CSV_COLUMNS)} ({','.join(_CSV_COLUMNS)})",
+            path=csv_path,
+            line=1,
+        )
+    numbers, (block, phase, trial, label) = read_csv(
+        csv_path, _CSV_COLUMNS, _CSV_COLUMNS[-4:], _annotation, row_prefix="malformed row: "
+    )
 
     extra = {k: v for k, v in meta.items() if k not in _META_KEYS + ("trials_per_block",)}
-    from .recording import RecordingError
-
     try:
-        return Recording(
+        rec = Recording(
             subject_id=str(meta["subject_id"]),
             fs=meta["fs"],
             channels=channel_names,
-            samples=samples,
+            samples=np.ascontiguousarray(numbers[:, 1:].T),
             block=block,
             phase=phase,
             trial=trial,
@@ -192,38 +246,10 @@ def load_recording(path) -> Recording:
             extra=extra,
         )
     except RecordingError as e:
-        raise DatasetError(str(e), path=csv_path) from e
-
-
-def _check_trial_counts(block, phase, trial, meta, csv_path) -> None:
-    """Every block must carry the same number of activity trials.
-
-    When meta declares trials_per_block that is the expected count; otherwise
-    the maximum across blocks is, so a single short block is still named.
-    """
-    act = phase == "activity"
-    counts = {}
-    for b in range(meta["n_blocks"]):
-        t = trial[act & (block == b)]
-        counts[b] = int(t.max()) + 1 if t.size else 0
-    expected = meta.get("trials_per_block", max(counts.values(), default=0))
-    for b, c in sorted(counts.items()):
-        if c != expected:
-            raise DatasetError(
-                f"block {b} has {c} trials, expected {expected}", path=csv_path
-            )
-
-
-def _check_block_labels(block, phase, label, block_labels, csv_path) -> None:
-    act = phase == "activity"
-    for b, expected in enumerate(block_labels):
-        rows = np.flatnonzero(act & (block == b))
-        labs = label[rows]
-        off = np.flatnonzero(labs != expected)
-        if off.size:
-            raise DatasetError(
-                f"block {b}: label {labs[off[0]]!r} differs from block label "
-                f"{expected!r}",
-                path=csv_path,
-                line=int(rows[off[0]]) + 2,
-            )
+        line = None if e.index is None else e.index + 2
+        raise DatasetError(str(e), path=csv_path, line=line) from e
+    declared = meta.get("trials_per_block", rec.trials_per_block)
+    if declared != rec.trials_per_block:
+        raise DatasetError(f"trials_per_block is {declared}, but every block has "
+                           f"{rec.trials_per_block} trials", path=meta_path)
+    return rec

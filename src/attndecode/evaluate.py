@@ -403,9 +403,18 @@ def model_to_json(model: TrainedModel) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise EvalError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def model_from_json(text: str) -> TrainedModel:
     """Parse a model file; arrays that do not fit together are refused."""
-    doc = json.loads(text)
+    try:
+        doc = _json_object(json.loads(text), "model file")
+    except json.JSONDecodeError as e:
+        raise EvalError(f"model file is not JSON: {e}") from None
     version = doc.get("schema_version")
     if version != SERIAL_VERSION:
         raise EvalError(
@@ -413,8 +422,8 @@ def model_from_json(text: str) -> TrainedModel:
             " — re-run evaluate"
         )
     try:
-        spec = ModelSpec(doc["kind"], doc["params"])
-        block = doc[spec.kind]
+        spec = ModelSpec(doc["kind"], _json_object(doc["params"], "model file field 'params'"))
+        block = _json_object(doc[spec.kind], f"model file field {spec.kind!r}")
         if spec.kind == "svm":
             hp = SvmHyperParams(C=block["C"], gamma=block["gamma"])
             inner = SvmModel(**_fields_from(SvmModel, block, hyperparams=hp))

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import read_csv, read_header, write_csv
 from .dsp import DspError, analytic_envelope, design_butterworth_bandpass, filtfilt
 from .recording import CHANNELS, CLASS_LABELS, DEFAULT_BANDS, Recording
 from .wavelets import WaveletBank, build_wavelet_bank, cwt_power
@@ -404,17 +405,10 @@ TF_MAPS_CSV = "tf_class_means.csv"
 def write_feature_matrix(fm: FeatureMatrix, path) -> None:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(fm.columns) + ",label,block"]
-    for i in range(fm.n_trials):
-        row = ",".join(repr(float(v)) for v in fm.values[i])
-        lines.append(f"{row},{fm.labels[i]},{int(fm.block_of[i])}")
-    (out / FEATURES_CSV).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = [",".join(_epoch_columns()) + ",label,block"]
-    for i in range(fm.erp.n_trials):
-        row = ",".join(repr(float(v)) for v in fm.erp.data[i].ravel())
-        lines.append(f"{row},{fm.erp.labels[i]},{int(fm.erp.block_of[i])}")
-    (out / EPOCHS_CSV).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out / FEATURES_CSV, (*fm.columns, "label", "block"),
+              [*fm.values.T, fm.labels, fm.block_of])
+    write_csv(out / EPOCHS_CSV, (*_epoch_columns(), "label", "block"),
+              [*fm.erp.data.reshape(fm.erp.n_trials, -1).T, fm.erp.labels, fm.erp.block_of])
 
 
 def load_feature_matrix(path) -> FeatureMatrix:
@@ -425,12 +419,8 @@ def load_feature_matrix(path) -> FeatureMatrix:
         if not p.is_file():
             raise FeatureError(f"missing artifact: {p}")
 
-    cols, values, labels, blocks = _read_table(feat_path)
-    if tuple(cols) != column_names():
-        raise FeatureError(f"{feat_path}: unexpected feature columns")
-    ep_cols, ep_values, ep_labels, ep_blocks = _read_table(ep_path)
-    if tuple(ep_cols) != _epoch_columns():
-        raise FeatureError(f"{ep_path}: unexpected epoch columns")
+    values, (labels, blocks) = _read_trials(feat_path, column_names())
+    ep_values, (ep_labels, ep_blocks) = _read_trials(ep_path, _epoch_columns())
     n = len(labels)
     if len(ep_labels) != n:
         raise FeatureError(f"{ep_path}: {len(ep_labels)} trials, {feat_path} has {n}")
@@ -444,7 +434,7 @@ def load_feature_matrix(path) -> FeatureMatrix:
     data = ep_values.reshape(n, len(CHANNELS), ERP_SAMPLES)
     erp = ErpEpochs(data=data, fs_out=ERP_FS_OUT, labels=ep_labels, block_of=ep_blocks)
     return FeatureMatrix(
-        values=values, columns=tuple(cols), labels=labels, block_of=blocks, erp=erp
+        values=values, columns=column_names(), labels=labels, block_of=blocks, erp=erp
     )
 
 
@@ -452,51 +442,33 @@ def _epoch_columns() -> tuple[str, ...]:
     return tuple(f"{ch}:s{j:02d}" for ch in CHANNELS for j in range(ERP_SAMPLES))
 
 
-def _read_table(path: Path):
-    """Header columns, float values, labels and blocks of a label,block CSV;
-    a malformed row or a non-finite value fails naming path:line."""
-    lines = path.read_text(encoding="utf-8").rstrip("\n").split("\n")
-    header = lines[0].split(",")
-    if header[-2:] != ["label", "block"]:
-        raise FeatureError(f"{path}: expected trailing label,block columns")
-    cols = header[:-2]
-    n = len(lines) - 1
-    values = np.empty((n, len(cols)))
-    labels = np.empty(n, dtype="U5")
-    blocks = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        where = f"{path}:{i + 2}"
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise FeatureError(f"{where}: {len(parts)} fields, expected {len(header)}")
-        if parts[-2] not in CLASS_LABELS:
-            raise FeatureError(f"{where}: label {parts[-2]!r} not in {CLASS_LABELS}")
-        try:
-            values[i] = [float(v) for v in parts[:-2]]
-            blocks[i] = int(parts[-1])
-        except ValueError as e:
-            raise FeatureError(f"{where}: {e}") from e
-        labels[i] = parts[-2]
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise FeatureError(f"{path}:{i + 2}: non-finite {cols[j]} = {float(values[i, j])}")
-    return cols, values, labels, blocks
+def _label_block(label, block):
+    if label not in CLASS_LABELS:
+        raise ValueError(f"label {label!r} not in {CLASS_LABELS}")
+    return label, int(block)
+
+
+def _read_trials(path: Path, columns):
+    """Values, labels and blocks of a per-trial CSV with trailing label,block."""
+    return read_csv(path, (*columns, "label", "block"), ("label", "block"), _label_block,
+                    error=FeatureError)
 
 
 def write_tf_class_maps(class_maps: dict, freqs: np.ndarray, path) -> None:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    n_t = next(iter(next(iter(class_maps.values())).values())).shape[1]
-    header = "channel,label,freq_hz," + ",".join(f"t{j}" for j in range(n_t))
-    lines = [header]
-    for ch in CHANNELS:
-        for lab in CLASS_LABELS:
-            m = class_maps[ch][lab]
-            for fi, f in enumerate(freqs):
-                row = ",".join(repr(float(v)) for v in m[fi])
-                lines.append(f"{ch},{lab},{float(f)!r},{row}")
-    (out / TF_MAPS_CSV).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pairs = [(ch, lab) for ch in CHANNELS for lab in CLASS_LABELS]
+    maps = np.concatenate([class_maps[ch][lab] for ch, lab in pairs])
+    channel, label = np.repeat(pairs, len(freqs), axis=0).T
+    header = ("channel", "label", "freq_hz", *(f"t{j}" for j in range(maps.shape[1])))
+    write_csv(out / TF_MAPS_CSV, header,
+              [channel, label, np.tile(np.asarray(freqs, float), len(pairs)), *maps.T])
+
+
+def _channel_label(channel, label):
+    if channel not in CHANNELS or label not in CLASS_LABELS:
+        raise ValueError(f"unknown channel/label pair ({channel}, {label})")
+    return channel, label
 
 
 def load_tf_class_maps(path) -> tuple[dict, np.ndarray]:
@@ -506,25 +478,17 @@ def load_tf_class_maps(path) -> tuple[dict, np.ndarray]:
     p = Path(path) / TF_MAPS_CSV
     if not p.is_file():
         raise FeatureError(f"missing artifact: {p}")
-    header, *lines = p.read_text(encoding="utf-8").rstrip("\n").split("\n")
-    n_fields = len(header.split(","))
-    if header.split(",")[:3] != ["channel", "label", "freq_hz"]:
+    header = read_header(p)
+    if header[:3] != ["channel", "label", "freq_hz"]:
         raise FeatureError(f"{p}:1: expected a channel,label,freq_hz,... header")
-    rows: dict[tuple, list] = {}
-    for line_no, line in enumerate(lines, start=2):
-        parts = line.split(",")
-        try:
-            if len(parts) != n_fields:
-                raise ValueError(f"{len(parts)} fields, expected {n_fields}")
-            if parts[0] not in CHANNELS or parts[1] not in CLASS_LABELS:
-                raise ValueError(f"unknown channel/label pair ({parts[0]}, {parts[1]})")
-            rows.setdefault(tuple(parts[:2]), []).append([float(v) for v in parts[2:]])
-        except ValueError as e:
-            raise FeatureError(f"{p}:{line_no}: {e}") from e
-    missing = [(ch, lab) for ch in CHANNELS for lab in CLASS_LABELS if (ch, lab) not in rows]
-    if missing:
-        raise FeatureError(f"{p}: no rows for channel {missing[0][0]}, label {missing[0][1]}")
-    tables = {pair: np.array(r) for pair, r in rows.items()}
+    values, (channel, label) = read_csv(p, header, ("channel", "label"), _channel_label,
+                                        error=FeatureError)
+    tables = {}
+    for ch in CHANNELS:
+        for lab in CLASS_LABELS:
+            tables[ch, lab] = values[(channel == ch) & (label == lab)]
+            if not len(tables[ch, lab]):
+                raise FeatureError(f"{p}: no rows for channel {ch}, label {lab}")
     freqs = tables[CHANNELS[0], CLASS_LABELS[0]][:, 0]
     for (ch, lab), table in tables.items():
         if not np.array_equal(table[:, 0], freqs):

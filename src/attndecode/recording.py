@@ -19,7 +19,12 @@ NO_TRIAL = -1
 
 
 class RecordingError(ValueError):
-    """A recording violates its structural invariants."""
+    """A recording violates its structural invariants; index, when known, is
+    the first offending sample."""
+
+    def __init__(self, message: str, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -183,16 +188,19 @@ class Recording:
                     f"block {b}: activity must be {n_t} contiguous trials of "
                     f"{fs_i} samples, got {trials.size} samples"
                 )
-            per_block_trials.append(n_t)
-            labs = np.unique(self.label[act])
-            if labs.size != 1 or labs[0] != self.block_labels[b]:
+            per_block_trials.append((n_t, act.start))
+            off = np.flatnonzero(self.label[act] != self.block_labels[b])
+            if off.size:
                 raise RecordingError(
-                    f"block {b}: activity labels {labs} inconsistent with block "
-                    f"label {self.block_labels[b]!r}"
+                    f"block {b}: label {str(self.label[act][off[0]])!r} differs from block "
+                    f"label {self.block_labels[b]!r}",
+                    act.start + off[0],
                 )
-        if len(set(per_block_trials)) != 1:
-            counts = {b: c for b, c in enumerate(per_block_trials)}
-            raise RecordingError(f"blocks disagree on trial count: {counts}")
+        most = max(per_block_trials)[0]
+        for b, (n_t, start) in enumerate(per_block_trials):
+            if n_t != most:  # index: where block b stops matching `most` trials
+                raise RecordingError(f"blocks disagree on trial count: block {b} has "
+                                     f"{n_t} trials, expected {most}", start + n_t * fs_i)
 
         outside = self.phase != "activity"
         if np.any(self.trial[outside] != NO_TRIAL):

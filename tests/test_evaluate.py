@@ -439,6 +439,12 @@ def _one_node_self_loop(doc):
         ],
         ("svm", lambda d: d.update(schema_version=1), EvalError,
          "^model file is schema 1; this version reads 2 — re-run evaluate$"),
+        # these edits return the file's text instead of changing the document
+        ("svm", lambda d: json.dumps([d]), EvalError,
+         "^model file must be a JSON object, got list$"),
+        ("svm", lambda d: d.update(params=5), EvalError,
+         "^model file field 'params' must be a JSON object, got int$"),
+        ("rf", lambda d: json.dumps(d)[:-1], EvalError, "^model file is not JSON: "),
     ],
     ids=[
         "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
@@ -448,14 +454,15 @@ def _one_node_self_loop(doc):
         "tree_leaf_counts_empty", "tree_counts_negative",
         "tree_counts_not_integer", "lda_w_ragged", "col_std_not_numeric",
         *[f"missing_{path[-1]}" for _, path in MISSING_FIELDS], "schema_v1",
+        "top_level_array", "params_not_object", "not_json",
     ],
 )
 def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):
     # only loading runs: a model that loaded could hang in prediction
     doc = copy.deepcopy(model_docs[kind])
-    edit(doc)
+    text = edit(doc)
     with pytest.raises(error, match=message):
-        model_from_json(json.dumps(doc))
+        model_from_json(text if isinstance(text, str) else json.dumps(doc))
 
 
 def test_model_json_schema_versioned():
