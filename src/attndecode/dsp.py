@@ -218,31 +218,28 @@ def preprocess(
 
 
 def analytic_envelope(x: np.ndarray, band: BandDefinition, fs: float) -> np.ndarray:
-    """Amplitude envelope of x restricted to a frequency band.
+    """Amplitude envelope of x restricted to a frequency band, along the last
+    axis of x ([n] or [..., n]).
 
-    Band-passes with a 4th-order zero-phase Butterworth, then builds the
-    analytic signal in the frequency domain (negative frequencies zeroed,
-    positive doubled) and takes its magnitude. The zero-phase pass uses
-    Gustafsson initial conditions: narrow bands ring for a long time on
-    reflected-pad edges, Gustafsson keeps the edge transient small.
+    One spectral product: the spectrum of x times |H|^2, the zero-phase gain
+    of a forward-backward pass of the 4th-order Butterworth band-pass, times
+    the analytic mask (negative frequencies zeroed, positive doubled; Marple
+    1999), then the magnitude of its inverse FFT. The product is circular, so
+    x should be a whole segment whose ends lie outside the samples of
+    interest.
     """
     x = np.asarray(x, float)
     if band.hi > fs / 2.0:
         raise DspError(
             f"band {band.name!r} upper edge {band.hi} Hz exceeds Nyquist {fs / 2.0} Hz"
         )
-    if len(x) < 64:
-        raise DspError(f"need at least 64 samples, got {len(x)}")
-    hi = min(band.hi, fs / 2.0 - 1e-9)
-    if not 0 < band.lo < hi:
+    n = x.shape[-1]
+    if n < 64:
+        raise DspError(f"need at least 64 samples, got {n}")
+    if not 0 < band.lo < band.hi:
         raise DspError(f"band {band.name!r} edges [{band.lo}, {band.hi}] invalid")
-    from scipy.signal import butter, filtfilt as _ba_filtfilt
-
-    b, a = butter(4, [band.lo, hi], btype="bandpass", fs=fs)
-    y = _ba_filtfilt(b, a, x, method="gust")
-
-    n = len(y)
-    spec = np.fft.fft(y)
+    filt = design_butterworth_bandpass(4, band.lo, band.hi, fs)
+    gain = np.abs(filt.response(np.abs(np.fft.fftfreq(n, 1.0 / fs)))) ** 2
     h = np.zeros(n)
     h[0] = 1.0
     if n % 2 == 0:
@@ -250,4 +247,4 @@ def analytic_envelope(x: np.ndarray, band: BandDefinition, fs: float) -> np.ndar
         h[1 : n // 2] = 2.0
     else:
         h[1 : (n + 1) // 2] = 2.0
-    return np.abs(np.fft.ifft(spec * h))
+    return np.abs(np.fft.ifft(np.fft.fft(x) * (gain * h)))

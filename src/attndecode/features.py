@@ -282,26 +282,27 @@ def envelope_statistics(env: np.ndarray) -> np.ndarray:
 def hilbert_features(rec: Recording, bands=DEFAULT_BANDS) -> np.ndarray:
     """[n_trials, 240] envelope statistics (6 per channel per band).
 
-    Envelopes are computed over each block's whole activity segment and then
-    sliced per trial, so trial boundaries add no edge artifacts.
+    Envelopes are computed over each whole block (cue through rest) and then
+    sliced per trial, so trial boundaries add no edge artifacts: the circular
+    spectral product wraps only at the cue and rest ends of the block.
     """
     if len(bands) != len(DEFAULT_BANDS):
         raise FeatureError(f"expected {len(DEFAULT_BANDS)} bands, got {len(bands)}")
     fs_i = int(round(rec.fs))
     tpb = rec.trials_per_block
-    feats = np.empty((rec.n_trials, N_HILBERT_COLS))
-    for b, first in enumerate(rec.trial_starts()[:, 0]):
-        act = slice(first, first + tpb * fs_i)
+    feats = np.empty((rec.n_trials, rec.n_channels, len(bands), len(HILBERT_STATS)))
+    for b in range(rec.n_blocks):
+        whole = rec.block_slice(b)
+        window = rec.trial_starts()[b, :, None] - whole.start + np.arange(fs_i)
         rows = slice(b * tpb, (b + 1) * tpb)
-        for c in range(rec.n_channels):
-            for k, band in enumerate(bands):
-                try:
-                    env = analytic_envelope(rec.samples[c, act], band, rec.fs)
-                except DspError as e:
-                    raise FeatureError(f"band {band.name!r}: {e}") from e
-                col = (c * len(bands) + k) * 6
-                feats[rows, col : col + 6] = envelope_statistics(env.reshape(tpb, fs_i))
-    return feats
+        for k, band in enumerate(bands):
+            try:
+                env = analytic_envelope(rec.samples[:, whole], band, rec.fs)
+            except DspError as e:
+                raise FeatureError(f"band {band.name!r}: {e}") from e
+            # [channels, trials, fs] -> [trials, channels, 6]
+            feats[rows, :, k] = envelope_statistics(env[:, window]).transpose(1, 0, 2)
+    return feats.reshape(rec.n_trials, N_HILBERT_COLS)
 
 
 # -- assembly ------------------------------------------------------------------

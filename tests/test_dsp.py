@@ -358,3 +358,6 @@ def test_envelope_band_validation():
         analytic_envelope(np.zeros(1000), BandDefinition("bad", 30.0, 140.0), FS)
     with pytest.raises(DspError):
         analytic_envelope(np.zeros(32), ALPHA, FS)
+    # an upper edge at Nyquist has no stable band-pass design
+    with pytest.raises(DspError, match="hi < fs/2"):
+        analytic_envelope(np.zeros(1000), BandDefinition("top", 100.0, 125.0), FS)

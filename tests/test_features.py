@@ -1,3 +1,4 @@
+import functools
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 
 from attndecode import (
     FeatureError,
+    SynthConfig,
+    analytic_envelope,
     db_normalize,
     envelope_statistics,
     erp_epochs,
@@ -13,6 +16,8 @@ from attndecode import (
     lda_fit,
     lda_project,
     load_feature_matrix,
+    preprocess,
+    synthesize,
     window_stats,
     write_feature_matrix,
 )
@@ -29,7 +34,7 @@ from attndecode.features import (
     parse_column,
     write_tf_class_maps,
 )
-from attndecode.recording import CHANNELS, CLASS_LABELS
+from attndecode.recording import CHANNELS, CLASS_LABELS, DEFAULT_BANDS
 
 from conftest import make_toy_recording
 from test_dsp import fit_tone_amplitude, oracle_magnitude
@@ -148,8 +153,9 @@ def _kernel_rows(rng, n):
 
 @pytest.mark.parametrize(
     "kernel, n, n_out",
-    [(window_stats, 50, 42), (envelope_statistics, 250, 6), (envelope_statistics, 17, 6)],
-    ids=["window_stats", "envelope_statistics", "envelope_statistics_odd"],
+    [(window_stats, 50, 42), (envelope_statistics, 250, 6), (envelope_statistics, 17, 6),
+     (functools.partial(analytic_envelope, band=DEFAULT_BANDS[1], fs=FS), 1000, 1000)],
+    ids=["window_stats", "envelope_statistics", "envelope_statistics_odd", "analytic_envelope"],
 )
 def test_stacked_kernels_equal_row_by_row_calls(kernel, n, n_out):
     # bit-equality, not a tolerance: the feature artifacts are defined by the
@@ -374,6 +380,45 @@ def test_hilbert_flat_tone_envelope(small_easy_pre):
     i_std = cols.index("hilb:Fz:alpha:std") - 400
     i_mean = cols.index("hilb:Fz:alpha:mean") - 400
     assert feats[1, i_std] < 0.02 * feats[1, i_mean]
+
+
+def _envelope_means(feats):
+    """[n_trials, channels, bands] envelope means of hilbert_features output."""
+    return feats.reshape(len(feats), len(CHANNELS), len(DEFAULT_BANDS), -1)[..., 0]
+
+
+def test_hilbert_matches_whole_block_sosfiltfilt_reference():
+    # Reference: each whole block filtered by a forward-backward order-4 SOS
+    # pass with 10 s of odd padding, then scipy's analytic signal. Edge trials
+    # are where a per-trial or per-activity-segment filter goes wrong.
+    from scipy.signal import hilbert, sosfiltfilt
+
+    rec = preprocess(synthesize(SynthConfig(n_blocks=2, trials_per_block=8, seed=5)))
+    fs_i = int(rec.fs)
+    tpb = rec.trials_per_block
+    expected = np.empty((rec.n_trials, len(CHANNELS), len(DEFAULT_BANDS)))
+    for b in range(rec.n_blocks):
+        whole = rec.block_slice(b)
+        window = rec.trial_starts()[b, :, None] - whole.start + np.arange(fs_i)
+        for k, band in enumerate(DEFAULT_BANDS):
+            sos = design_butterworth_bandpass(4, band.lo, band.hi, rec.fs).sos
+            y = sosfiltfilt(sos, rec.samples[:, whole], padtype="odd", padlen=10 * fs_i)
+            env = np.abs(hilbert(y))
+            expected[b * tpb : (b + 1) * tpb, :, k] = env[:, window].mean(axis=-1).T
+    got = _envelope_means(hilbert_features(rec))
+    np.testing.assert_allclose(got, expected, rtol=5e-3)
+
+
+@pytest.mark.parametrize("band, tone_hz", [("delta", 2.0), ("theta", 5.0), ("alpha", 9.0)])
+def test_hilbert_stationary_tone_same_on_every_trial(band, tone_hz):
+    # the toy blocks last 9 s, so each tone is periodic in its block: every
+    # trial, first and last included, sees the same envelope
+    rec = make_toy_recording(lambda t: np.cos(2.0 * np.pi * tone_hz * t))
+    k = [b.name for b in DEFAULT_BANDS].index(band)
+    means = _envelope_means(hilbert_features(rec))[:, :, k]
+    means = means.reshape(rec.n_blocks, rec.trials_per_block, len(CHANNELS))
+    middle = means[:, rec.trials_per_block // 2][:, None]
+    np.testing.assert_allclose(means, np.broadcast_to(middle, means.shape), rtol=5e-3)
 
 
 def test_hilbert_zero_signal_all_zero_stats():
