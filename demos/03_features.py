@@ -14,14 +14,14 @@ from attndecode.wavelets import build_wavelet_bank
 
 rec = synthesize(SynthConfig(n_blocks=2, trials_per_block=20, seed=11))
 pre = preprocess(rec)
-bank = build_wavelet_bank(fs=pre.fs)
-fm, tf_maps = extract_features(pre, bank)
+fm, tf_maps = extract_features(pre)
 
 print(f"feature matrix: {fm.values.shape[0]} trials x {fm.values.shape[1]} columns")
 families = Counter(parse_column(name)[0] for name in fm.columns)
 print("columns per family:", dict(families))
 
 # the wavelet bank behind the tf features
+bank = build_wavelet_bank(fs=pre.fs)
 print(f"\nwavelet bank: {bank.n_freqs} kernels, "
       f"{bank.cycles[0]:.1f} cycles at {bank.freqs[0]:g} Hz up to "
       f"{bank.cycles[-1]:.1f} at {bank.freqs[-1]:g} Hz")

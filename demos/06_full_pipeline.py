@@ -20,15 +20,14 @@ from attndecode import (
     train_full_model,
 )
 from attndecode.report import erp_class_means, render_report
-from attndecode.wavelets import build_wavelet_bank
+from attndecode.wavelets import DEFAULT_FREQS_HZ
 
 SEED = 4
 out = Path("out/demo_report")
 
 rec = synthesize(SynthConfig(n_blocks=2, trials_per_block=20, seed=SEED))
 pre = preprocess(rec)
-bank = build_wavelet_bank(fs=pre.fs)
-fm, tf_maps = extract_features(pre, bank)
+fm, tf_maps = extract_features(pre)
 print(f"features ready: {fm.values.shape}")
 
 studies, evals = {}, {}
@@ -49,7 +48,7 @@ paths = render_report(
     studies=studies,
     erp_means=erp_class_means(fm.erp.data, fm.labels, rec.channels),
     tf_maps=tf_maps,
-    tf_freqs=bank.freqs,
+    tf_freqs=DEFAULT_FREQS_HZ,
 )
 print("\nreport artifacts:")
 for name, p in paths.items():

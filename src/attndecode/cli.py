@@ -15,9 +15,8 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from . import dataset, dsp, evaluate, features, report, synth, tune
+from . import dataset, dsp, evaluate, features, report, synth, tune, wavelets
 from .recording import DEFAULT_BANDS, BandDefinition, RecordingError
-from .wavelets import build_wavelet_bank
 
 
 class CliError(ValueError):
@@ -154,11 +153,10 @@ def cmd_features(args) -> int:
             "warning: input does not look preprocessed (no 'preprocessed' flag)",
             file=sys.stderr,
         )
-    bank = build_wavelet_bank(fs=rec.fs)
     out = _require(cfg, "out")
-    fm, maps = features.extract_features(rec, bank, bands=cfg.band_definitions())
+    fm, maps = features.extract_features(rec, bands=cfg.band_definitions())
     features.write_feature_matrix(fm, out)
-    features.write_tf_class_maps(maps, bank.freqs, out)
+    features.write_tf_class_maps(maps, wavelets.DEFAULT_FREQS_HZ, out)
     meta = {"subject_id": rec.subject_id, "fs": rec.fs, "n_trials": fm.n_trials}
     (Path(out) / FEATURES_META).write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"

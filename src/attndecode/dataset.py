@@ -38,17 +38,8 @@ CSV_CHUNK_ROWS = 4096
 
 
 class DatasetError(ValueError):
-    """A dataset directory is missing, malformed, or inconsistent."""
-
-    def __init__(self, message: str, path=None, line: int | None = None):
-        ctx = ""
-        if path is not None:
-            ctx = f"{path}: "
-            if line is not None:
-                ctx = f"{path}:{line}: "
-        super().__init__(ctx + message)
-        self.path = path
-        self.line = line
+    """A dataset directory is missing, malformed, or inconsistent; the
+    message leads with path or path:line."""
 
 
 # -- the artifact CSV codec ----------------------------------------------------
@@ -182,50 +173,44 @@ def load_recording(path) -> Recording:
     meta_path = root / META_NAME
     csv_path = root / CSV_NAME
     if not meta_path.is_file():
-        raise DatasetError(f"missing {META_NAME}", path=root)
+        raise DatasetError(f"{root}: missing {META_NAME}")
     if not csv_path.is_file():
-        raise DatasetError(f"missing {CSV_NAME}", path=root)
+        raise DatasetError(f"{root}: missing {CSV_NAME}")
 
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
-        raise DatasetError(f"invalid JSON: {e}", path=meta_path) from e
+        raise DatasetError(f"{meta_path}: invalid JSON: {e}") from e
     if not isinstance(meta, dict):
-        raise DatasetError("expected a JSON object", path=meta_path)
+        raise DatasetError(f"{meta_path}: expected a JSON object")
     for key in _META_KEYS:
         if key not in meta:
-            raise DatasetError(f"missing key {key!r}", path=meta_path)
+            raise DatasetError(f"{meta_path}: missing key {key!r}")
     for key, kind in _META_TYPES.items():
         if key in meta:
             try:
                 meta[key] = kind(meta[key])
             except (TypeError, ValueError) as e:
-                raise DatasetError(f"bad {key!r}: {e}", path=meta_path) from e
+                raise DatasetError(f"{meta_path}: bad {key!r}: {e}") from e
     channel_names = meta["channel_names"]
     if len(channel_names) != len(CHANNELS):
         raise DatasetError(
-            f"channel count mismatch: meta lists {len(channel_names)} channels, "
-            f"expected {len(CHANNELS)}",
-            path=meta_path,
+            f"{meta_path}: channel count mismatch: meta lists {len(channel_names)} "
+            f"channels, expected {len(CHANNELS)}"
         )
     if channel_names != CHANNELS:
-        raise DatasetError(
-            f"channel names {channel_names} do not match {CHANNELS}", path=meta_path
-        )
+        raise DatasetError(f"{meta_path}: channel names {channel_names} do not match {CHANNELS}")
     block_labels = meta["block_labels"]
     if len(block_labels) != meta["n_blocks"]:
         raise DatasetError(
-            f"n_blocks={meta['n_blocks']} but {len(block_labels)} block_labels",
-            path=meta_path,
+            f"{meta_path}: n_blocks={meta['n_blocks']} but {len(block_labels)} block_labels"
         )
 
     header = read_header(csv_path)
     if len(header) != len(_CSV_COLUMNS):
         raise DatasetError(
-            f"channel count mismatch: header has {len(header)} columns, "
-            f"expected {len(_CSV_COLUMNS)} ({','.join(_CSV_COLUMNS)})",
-            path=csv_path,
-            line=1,
+            f"{csv_path}:1: channel count mismatch: header has {len(header)} columns, "
+            f"expected {len(_CSV_COLUMNS)} ({','.join(_CSV_COLUMNS)})"
         )
     numbers, (block, phase, trial, label) = read_csv(
         csv_path, _CSV_COLUMNS, _CSV_COLUMNS[-4:], _annotation, row_prefix="malformed row: "
@@ -246,10 +231,10 @@ def load_recording(path) -> Recording:
             extra=extra,
         )
     except RecordingError as e:
-        line = None if e.index is None else e.index + 2
-        raise DatasetError(str(e), path=csv_path, line=line) from e
+        where = csv_path if e.index is None else f"{csv_path}:{e.index + 2}"
+        raise DatasetError(f"{where}: {e}") from e
     declared = meta.get("trials_per_block", rec.trials_per_block)
     if declared != rec.trials_per_block:
-        raise DatasetError(f"trials_per_block is {declared}, but every block has "
-                           f"{rec.trials_per_block} trials", path=meta_path)
+        raise DatasetError(f"{meta_path}: trials_per_block is {declared}, but every block "
+                           f"has {rec.trials_per_block} trials")
     return rec

@@ -1,6 +1,8 @@
 """Signal kernels and the preprocessing chain.
 
-The chain, applied per channel in this fixed order:
+Every kernel but despike_mad works along the last axis, so one call filters
+all channels; each row is bit-equal to a 1-D call on it. The chain, applied
+per channel in this fixed order:
     0.4-40 Hz 5th-order Butterworth (zero-phase) -> MAD despiking with cubic
     spline repair -> k-nearest-neighbour smoothing -> per-block baseline
     subtraction -> global z-scoring over the activity samples of all blocks.
@@ -32,12 +34,9 @@ class DspError(ValueError):
 
 @dataclass(frozen=True)
 class IirFilter:
-    """Cascade of second-order sections plus its design metadata."""
+    """Cascade of second-order sections at sampling rate fs."""
 
     sos: np.ndarray
-    order: int
-    lo: float
-    hi: float
     fs: float
 
     @property
@@ -75,7 +74,7 @@ def design_butterworth_bandpass(order: int, lo: float, hi: float, fs: float) -> 
     from scipy.signal import butter
 
     sos = butter(order, [lo, hi], btype="bandpass", fs=fs, output="sos")
-    filt = IirFilter(sos=sos, order=order, lo=lo, hi=hi, fs=fs)
+    filt = IirFilter(sos=sos, fs=fs)
     if np.any(filt.pole_magnitudes() >= 1.0):
         raise DspError(f"unstable design for order={order}, band=[{lo}, {hi}]")
     center = np.sqrt(lo * hi)
@@ -86,14 +85,16 @@ def design_butterworth_bandpass(order: int, lo: float, hi: float, fs: float) -> 
 
 
 def filtfilt(filt: IirFilter, x: np.ndarray) -> np.ndarray:
-    """Zero-phase (forward-backward) filtering with reflected-edge padding."""
+    """Zero-phase (forward-backward) filtering with reflected-edge padding,
+    along the last axis of x."""
     from scipy.signal import sosfiltfilt
 
     x = np.asarray(x, float)
     pad = filt.padlen()
-    if len(x) <= pad:
-        raise DspError(f"signal length {len(x)} too short for padding {pad}")
-    return sosfiltfilt(filt.sos, x, padtype="odd", padlen=pad)
+    if x.shape[-1] <= pad:
+        raise DspError(f"signal length {x.shape[-1]} too short for padding {pad}")
+    # sosfiltfilt returns a reversed view of the padded signal
+    return np.ascontiguousarray(sosfiltfilt(filt.sos, x, padtype="odd", padlen=pad))
 
 
 def despike_mad(x: np.ndarray, k: float = DEFAULT_MAD_K) -> tuple[np.ndarray, np.ndarray]:
@@ -132,30 +133,32 @@ def despike_mad(x: np.ndarray, k: float = DEFAULT_MAD_K) -> tuple[np.ndarray, np
 
 
 def knn_smooth(x: np.ndarray, k: int = DEFAULT_SMOOTH_K) -> np.ndarray:
-    """Truncated moving average over the k nearest samples by time index.
+    """Truncated moving average over the k nearest samples by time index,
+    along the last axis.
 
     Uniform weights; the window is clipped at the signal edges. k = 1 is the
     identity.
     """
     x = np.asarray(x, float)
-    n = len(x)
+    n = x.shape[-1]
     if k % 2 != 1 or not 1 <= k <= n:
         raise DspError(f"k must be odd and in [1, {n}], got {k}")
     if k == 1:
         return x.copy()
     half = k // 2
-    csum = np.concatenate(([0.0], np.cumsum(x)))
+    csum = np.concatenate((np.zeros((*x.shape[:-1], 1)), np.cumsum(x, axis=-1)), axis=-1)
     hi = np.minimum(np.arange(n) + half + 1, n)
     lo = np.maximum(np.arange(n) - half, 0)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    return (np.take(csum, hi, axis=-1) - np.take(csum, lo, axis=-1)) / (hi - lo)
 
 
 def baseline_correct(activity: np.ndarray, baseline: np.ndarray) -> np.ndarray:
-    """Subtract the baseline mean from the activity signal."""
+    """Subtract the baseline mean from the activity signal, along the last
+    axis of both."""
     baseline = np.asarray(baseline, float)
-    if baseline.size == 0:
+    if baseline.shape[-1] == 0:
         raise DspError("empty baseline")
-    return np.asarray(activity, float) - baseline.mean()
+    return np.asarray(activity, float) - baseline.mean(axis=-1, keepdims=True)
 
 
 def preprocess(
@@ -174,26 +177,20 @@ def preprocess(
     map per channel computed from the activity samples of all blocks.
     """
     filt = design_butterworth_bandpass(filter_order, band[0], band[1], rec.fs)
-    out = np.empty_like(rec.samples)
+    out = filtfilt(filt, rec.samples)
     for c, name in enumerate(rec.channels):
         try:
-            y = filtfilt(filt, rec.samples[c])
-            y, _ = despike_mad(y, k=mad_k)
-            y = knn_smooth(y, k=smooth_k)
+            out[c], _ = despike_mad(out[c], k=mad_k)
         except DspError as e:
             raise DspError(f"channel {name}: {e}") from e
-        out[c] = y
+    out = knn_smooth(out, k=smooth_k)
 
-    act_cols = []
     for b in range(rec.n_blocks):
-        bl = rec.phase_slice(b, "baseline")
         whole = rec.block_slice(b)
-        act = rec.phase_slice(b, "activity")
-        for c in range(rec.n_channels):
-            out[c, whole] = baseline_correct(out[c, whole], out[c, bl])
-        act_cols.append(out[:, act])
+        out[:, whole] = baseline_correct(out[:, whole], out[:, rec.phase_slice(b, "baseline")])
 
-    activity = np.concatenate(act_cols, axis=1)
+    # C order: the fancy-indexed gather is not, and its row sums would round apart
+    activity = np.ascontiguousarray(out[:, rec.phase == "activity"])
     mean = activity.mean(axis=1)
     std = activity.std(axis=1)
     for c, name in enumerate(rec.channels):

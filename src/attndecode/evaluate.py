@@ -34,7 +34,6 @@ from .forest import (
     Tree,
     rf_predict_proba,
     rf_train,
-    seed_key,
 )
 from .recording import CHANNELS
 from .svm import SvmHyperParams, SvmModel, squared_distances, svm_decision, svm_train
@@ -66,14 +65,19 @@ class ModelSpec:
         self.hyperparams()
 
     def hyperparams(self) -> SvmHyperParams | RfHyperParams:
-        p = self.params
         if self.kind == "svm":
-            return SvmHyperParams(C=float(p["C"]), gamma=float(p["gamma"]))
+            return SvmHyperParams(C=self._param("C", float), gamma=self._param("gamma", float))
         return RfHyperParams(
-            **{name: int(p[name]) for name in INT_RANGES},
-            max_features=str(p["max_features"]),
-            criterion=str(p["criterion"]),
+            **{name: self._param(name, int) for name in INT_RANGES},
+            max_features=str(self.params["max_features"]),
+            criterion=str(self.params["criterion"]),
         )
+
+    def _param(self, name: str, kind: type):
+        try:
+            return kind(self.params[name])
+        except (TypeError, ValueError) as e:
+            raise EvalError(f"params field {name!r}: {e}") from None
 
     def fit(
         self, x: np.ndarray, y: np.ndarray, seed, d2: Callable[[], np.ndarray] | None = None
@@ -135,18 +139,18 @@ class EvalReport:
         }
 
 
-def stratified_kfold(labels, k: int = N_FOLDS, seed=0) -> list[np.ndarray]:
-    """k disjoint test-index arrays with per-fold class counts within one
-    sample of the global proportions; seeded shuffle, deterministic."""
+def stratified_kfold(labels, seed=0) -> list[np.ndarray]:
+    """N_FOLDS disjoint test-index arrays with per-fold class counts within
+    one sample of the global proportions; seeded shuffle, deterministic."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    folds: list[list[int]] = [[] for _ in range(N_FOLDS)]
     for cls in sorted(np.unique(labels).tolist()):
         idx = np.flatnonzero(labels == cls)
-        if idx.size < k:
-            raise EvalError(f"class {cls!r} has {idx.size} < {k} samples")
+        if idx.size < N_FOLDS:
+            raise EvalError(f"class {cls!r} has {idx.size} < {N_FOLDS} samples")
         idx = idx[rng.permutation(idx.size)]
-        for j, chunk in enumerate(np.array_split(idx, k)):
+        for j, chunk in enumerate(np.array_split(idx, N_FOLDS)):
             folds[j].extend(int(i) for i in chunk)
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
@@ -270,9 +274,9 @@ class CvPlan:
     seed: int
 
 
-def build_cv_plan(fm: FeatureMatrix, seed: int, k: int = N_FOLDS) -> CvPlan:
+def build_cv_plan(fm: FeatureMatrix, seed: int) -> CvPlan:
     y = labels_to_y(fm.labels)
-    test_sets = stratified_kfold(fm.labels, k=k, seed=seed)
+    test_sets = stratified_kfold(fm.labels, seed=seed)
     all_idx = np.arange(fm.n_trials)
     folds = []
     for test_idx in test_sets:
@@ -428,8 +432,16 @@ def model_from_json(text: str) -> TrainedModel:
             hp = SvmHyperParams(C=block["C"], gamma=block["gamma"])
             inner = SvmModel(**_fields_from(SvmModel, block, hyperparams=hp))
         else:
-            trees = tuple(Tree(**_fields_from(Tree, t)) for t in block["trees"])
-            inner = RfModel(trees, spec.hyperparams(), seed_key(block["seed"]), block["n_features"])
+            trees, seed = block["trees"], block["seed"]
+            if not isinstance(trees, list):
+                raise EvalError(f"model file field 'rf.trees' must be a list, got "
+                                f"{type(trees).__name__}")
+            if not (isinstance(seed, list) and all(type(s) is int for s in seed)):
+                raise EvalError(f"model file field 'rf.seed' must list integers, got {seed!r}")
+            trees = [_json_object(t, f"model file field 'rf.trees[{i}]'")
+                     for i, t in enumerate(trees)]
+            trees = tuple(Tree(**_fields_from(Tree, t)) for t in trees)
+            inner = RfModel(trees, spec.hyperparams(), tuple(seed), block["n_features"])
         return TrainedModel(spec, FoldTransform.from_dict(doc), inner)
     except KeyError as e:
         raise EvalError(f"model file has no field {e.args[0]!r}") from None

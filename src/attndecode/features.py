@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import read_csv, read_header, write_csv
 from .dsp import DspError, analytic_envelope, design_butterworth_bandpass, filtfilt
 from .recording import CHANNELS, CLASS_LABELS, DEFAULT_BANDS, Recording
-from .wavelets import WaveletBank, build_wavelet_bank, cwt_power
+from .wavelets import build_wavelet_bank, cwt_power
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +72,6 @@ class ErpEpochs:
     """Per-trial, per-channel 1-4 Hz epochs downsampled to 50 samples."""
 
     data: np.ndarray  # [n_trials, n_channels, ERP_SAMPLES]
-    fs_out: float
     labels: np.ndarray
     block_of: np.ndarray
 
@@ -88,7 +87,7 @@ class ErpEpochs:
 
 
 def erp_epochs(rec: Recording) -> ErpEpochs:
-    """1-4 Hz filter each channel, slice activity trials, decimate to 50 Hz.
+    """1-4 Hz filter all channels, slice activity trials, decimate to 50 Hz.
 
     The 4 Hz cutoff is far below the 25 Hz post-decimation Nyquist, so
     keeping every fs/50-th sample needs no extra anti-alias filter.
@@ -98,13 +97,12 @@ def erp_epochs(rec: Recording) -> ErpEpochs:
         raise FeatureError(f"fs={rec.fs} is not divisible by {int(ERP_FS_OUT)}")
     decim = fs_i // int(ERP_FS_OUT)
     filt = design_butterworth_bandpass(ERP_FILTER_ORDER, *ERP_BAND, fs=rec.fs)
-    filtered = np.stack([filtfilt(filt, rec.samples[c]) for c in range(rec.n_channels)])
+    filtered = filtfilt(filt, rec.samples)
 
     starts = rec.trial_starts().ravel()
     gathered = filtered[:, starts[:, None] + np.arange(0, fs_i, decim)]
     return ErpEpochs(
         data=np.ascontiguousarray(gathered.transpose(1, 0, 2)),
-        fs_out=ERP_FS_OUT,
         labels=np.repeat(np.array(rec.block_labels, dtype="U5"), rec.trials_per_block),
         block_of=np.repeat(np.arange(rec.n_blocks, dtype=np.int64), rec.trials_per_block),
     )
@@ -197,25 +195,22 @@ def _moments(x: np.ndarray):
 # -- time-frequency features -------------------------------------------------
 
 
-def db_normalize(
-    power: np.ndarray, baseline_power: np.ndarray, floor: float = DB_POWER_FLOOR
-) -> np.ndarray:
+def db_normalize(power: np.ndarray, baseline_power: np.ndarray) -> np.ndarray:
     """Power maps [..., n_freqs, n_t] to dB relative to per-frequency
     baseline power.
 
-    dB = 10 log10(activity / baseline); values below the floor are clamped
-    first so the map stays finite.
+    dB = 10 log10(activity / baseline); values below DB_POWER_FLOOR are
+    clamped first so the map stays finite.
     """
-    power = np.asarray(power, float)
+    power = np.maximum(np.asarray(power, float), DB_POWER_FLOOR)
     baseline_power = np.asarray(baseline_power, float).reshape(-1, 1)
-    return 10.0 * np.log10(np.maximum(power, floor) / np.maximum(baseline_power, floor))
+    return 10.0 * np.log10(power / np.maximum(baseline_power, DB_POWER_FLOOR))
 
 
-def _tf_extract(rec: Recording, bank: WaveletBank | None):
+def _tf_extract(rec: Recording):
     """[n_trials, 56] statistics of per-trial dB maps (7 per channel), plus
     {channel: {label: mean dB map}} for the report heatmaps."""
-    if bank is None:
-        bank = build_wavelet_bank(fs=rec.fs)
+    bank = build_wavelet_bank(fs=rec.fs)
     fs_i = int(round(rec.fs))
     edge = fs_i // 2  # 0.5 s trimmed from each end of the baseline
     tpb = rec.trials_per_block
@@ -360,16 +355,14 @@ class FeatureMatrix:
         return self.labels == "face"
 
 
-def extract_features(
-    rec: Recording, bank: WaveletBank | None = None, bands=DEFAULT_BANDS
-) -> tuple[FeatureMatrix, dict]:
+def extract_features(rec: Recording, bands=DEFAULT_BANDS) -> tuple[FeatureMatrix, dict]:
     """Assemble the full matrix; also returns TF class-mean maps for reports."""
     ep = erp_epochs(rec)
     n = ep.n_trials
     values = np.zeros((n, N_FEATURES))
     values[:, :N_ERP_STAT_COLS] = window_stats(ep.data).reshape(n, N_ERP_STAT_COLS)
 
-    tf, class_maps = _tf_extract(rec, bank)
+    tf, class_maps = _tf_extract(rec)
     values[:, TF_COL_START : TF_COL_START + N_TF_COLS] = tf
     values[:, HILBERT_COL_START:] = hilbert_features(rec, bands)
 
@@ -433,7 +426,7 @@ def load_feature_matrix(path) -> FeatureMatrix:
             f"match {feat_path}:{i + 2} ({labels[i]}, block {blocks[i]})"
         )
     data = ep_values.reshape(n, len(CHANNELS), ERP_SAMPLES)
-    erp = ErpEpochs(data=data, fs_out=ERP_FS_OUT, labels=ep_labels, block_of=ep_blocks)
+    erp = ErpEpochs(data=data, labels=ep_labels, block_of=ep_blocks)
     return FeatureMatrix(
         values=values, columns=column_names(), labels=labels, block_of=blocks, erp=erp
     )

@@ -14,6 +14,9 @@ ROC_SIZE = 400.0
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
+# Time columns of a TF heatmap panel: the map is averaged down to this many.
+TF_BINS = 50
+
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
@@ -97,7 +100,7 @@ def render_roc_svg(curves: dict[str, tuple[np.ndarray, float]]) -> str:
     return c.to_xml()
 
 
-def render_erp_svg(means: dict[str, dict[str, np.ndarray]], fs_out: float = 50.0) -> str:
+def render_erp_svg(means: dict[str, dict[str, np.ndarray]]) -> str:
     """Per-channel face vs scene average ERP curves in a 2 x 4 panel grid."""
     panel_w, panel_h, pad = 220.0, 120.0, 34.0
     channels = list(means)
@@ -139,11 +142,7 @@ def _diverging_color(v: float, vmax: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_tf_maps_svg(
-    maps: dict[str, dict[str, np.ndarray]],
-    freqs: np.ndarray,
-    time_bins: int = 50,
-) -> str:
+def render_tf_maps_svg(maps: dict[str, dict[str, np.ndarray]], freqs: np.ndarray) -> str:
     """Per-channel dB heatmaps, one column per class; time binned for size."""
     channels = list(maps)
     labels = sorted(next(iter(maps.values())).keys())
@@ -160,7 +159,7 @@ def render_tf_maps_svg(
         for col, lab in enumerate(labels):
             m = maps[ch][lab]
             n_f, n_t = m.shape
-            bins = min(time_bins, n_t)
+            bins = min(TF_BINS, n_t)
             edges = np.linspace(0, n_t, bins + 1).astype(int)
             binned = np.stack([m[:, a:b].mean(axis=1) for a, b in zip(edges, edges[1:])], axis=1)
             px = pad + 60 + col * (panel_w + pad)

@@ -78,6 +78,12 @@ class Recording:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # before the U8/U5 casts below, which would cut "activityX" to "activity"
+        for name, allowed in (("phase", PHASES), ("label", (NO_LABEL, *CLASS_LABELS))):
+            raw = np.ravel(getattr(self, name))
+            bad = np.flatnonzero(~np.isin(raw, allowed))
+            if bad.size:
+                raise RecordingError(f"unknown {name} value {str(raw[bad[0]])!r}", int(bad[0]))
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "block_labels", tuple(self.block_labels))
         object.__setattr__(self, "samples", _frozen_array(self.samples, float))
@@ -151,10 +157,6 @@ class Recording:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise RecordingError(f"annotation {name!r} length {arr.shape} != {n}")
-
-        bad = set(np.unique(self.phase)) - set(PHASES)
-        if bad:
-            raise RecordingError(f"unknown phase values {sorted(bad)}")
 
         n_blocks = len(self.block_labels)
         if n_blocks == 0:

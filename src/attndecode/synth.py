@@ -17,6 +17,7 @@ import numpy as np
 
 from .recording import CHANNELS, NO_LABEL, NO_TRIAL, Recording, RecordingError
 
+FS_HZ = 250.0
 CUE_SECONDS = 5
 BASELINE_SECONDS = 7
 REST_SECONDS = 10
@@ -63,7 +64,6 @@ class SynthConfig:
 
     n_blocks: int = 8
     trials_per_block: int = 40
-    fs: float = 250.0
     snr_preset: str = "easy"
     seed: int = 0
     subject_id: str = "synth"
@@ -75,8 +75,6 @@ class SynthConfig:
             raise RecordingError(
                 f"trials_per_block must be >= 5, got {self.trials_per_block}"
             )
-        if self.fs <= 0 or self.fs != int(self.fs):
-            raise RecordingError(f"fs must be a positive integer rate, got {self.fs}")
         if self.snr_preset not in SNR_PRESETS:
             raise RecordingError(
                 f"snr_preset must be one of {SNR_PRESETS}, got {self.snr_preset!r}"
@@ -129,7 +127,7 @@ def synthesize(cfg: SynthConfig) -> Recording:
     is stored under the "synth_truth" key of the recording's extra metadata.
     """
     rng = np.random.default_rng(cfg.seed)
-    fs = int(cfg.fs)
+    fs = int(FS_HZ)
     n_t = cfg.trials_per_block
     block_len = (CUE_SECONDS + BASELINE_SECONDS + n_t + REST_SECONDS) * fs
     n_total = cfg.n_blocks * block_len
@@ -165,14 +163,14 @@ def synthesize(cfg: SynthConfig) -> Recording:
     # and trial-level CV on the null preset cannot memorize block noise
     # fingerprints instead of class structure.
     cue_wave = [
-        _NOISE_STD_UV * _pink_noise(rng, CUE_SECONDS * fs, cfg.fs) for _ in range(n_ch)
+        _NOISE_STD_UV * _pink_noise(rng, CUE_SECONDS * fs, FS_HZ) for _ in range(n_ch)
     ]
     base_wave = [
-        _NOISE_STD_UV * _pink_noise(rng, BASELINE_SECONDS * fs, cfg.fs, pinned=True)
+        _NOISE_STD_UV * _pink_noise(rng, BASELINE_SECONDS * fs, FS_HZ, pinned=True)
         for _ in range(n_ch)
     ]
     rest_wave = [
-        _NOISE_STD_UV * _pink_noise(rng, REST_SECONDS * fs, cfg.fs) for _ in range(n_ch)
+        _NOISE_STD_UV * _pink_noise(rng, REST_SECONDS * fs, FS_HZ) for _ in range(n_ch)
     ]
 
     for b in range(cfg.n_blocks):
@@ -183,9 +181,7 @@ def synthesize(cfg: SynthConfig) -> Recording:
             samples[c, start + CUE_SECONDS * fs : act_start] = base_wave[c]
             pos = act_start
             for _ in range(n_t):
-                samples[c, pos : pos + fs] = _NOISE_STD_UV * _pink_noise(
-                    rng, fs, cfg.fs
-                )
+                samples[c, pos : pos + fs] = _NOISE_STD_UV * _pink_noise(rng, fs, FS_HZ)
                 pos += fs
             samples[c, pos : pos + REST_SECONDS * fs] = rest_wave[c]
 
@@ -252,7 +248,7 @@ def synthesize(cfg: SynthConfig) -> Recording:
     }
     return Recording(
         subject_id=cfg.subject_id,
-        fs=cfg.fs,
+        fs=FS_HZ,
         channels=CHANNELS,
         samples=samples,
         block=block_ann,

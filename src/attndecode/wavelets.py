@@ -24,7 +24,6 @@ class WaveletBank:
     freqs: np.ndarray
     cycles: np.ndarray
     kernels: tuple[np.ndarray, ...]
-    fs: float
 
     @property
     def n_freqs(self) -> int:
@@ -35,21 +34,15 @@ class WaveletBank:
         return max(len(k) for k in self.kernels)
 
 
-def build_wavelet_bank(
-    freqs=None, cycles: tuple[float, float] = DEFAULT_CYCLES, fs: float = 250.0
-) -> WaveletBank:
-    """Build the Morlet bank for the given frequency grid.
+def build_wavelet_bank(fs: float) -> WaveletBank:
+    """Build the Morlet bank on DEFAULT_FREQS_HZ at sampling rate fs.
 
     Cycle count for frequency f: c_lo + (c_hi - c_lo) * (f - f_min) /
-    (f_max - f_min). Gaussian time std is cycles / (2 pi f); kernel support
-    is +-4 std, odd length, unit L2 norm.
+    (f_max - f_min) with (c_lo, c_hi) = DEFAULT_CYCLES. Gaussian time std is
+    cycles / (2 pi f); kernel support is +-4 std, odd length, unit L2 norm.
     """
-    freqs = np.asarray(DEFAULT_FREQS_HZ if freqs is None else freqs, float)
-    c_lo, c_hi = cycles
-    if freqs.size < 2 or np.any(np.diff(freqs) <= 0) or freqs[0] <= 0:
-        raise DspError("frequency grid must be positive and strictly increasing")
-    if not 0 < c_lo < c_hi:
-        raise DspError(f"cycle range must satisfy 0 < lo < hi, got {cycles}")
+    freqs = DEFAULT_FREQS_HZ
+    c_lo, c_hi = DEFAULT_CYCLES
     if fs <= 2.0 * freqs[-1]:
         raise DspError(f"fs={fs} too low for max frequency {freqs[-1]} Hz")
 
@@ -62,7 +55,7 @@ def build_wavelet_bank(
         k = np.exp(2j * np.pi * f * t) * np.exp(-(t**2) / (2.0 * sigma_t**2))
         k /= np.sqrt(np.sum(np.abs(k) ** 2))
         kernels.append(k)
-    return WaveletBank(freqs=freqs, cycles=n_cycles, kernels=tuple(kernels), fs=fs)
+    return WaveletBank(freqs=freqs, cycles=n_cycles, kernels=tuple(kernels))
 
 
 def cwt_power(x: np.ndarray, bank: WaveletBank) -> np.ndarray:

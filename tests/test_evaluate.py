@@ -76,7 +76,7 @@ def make_feature_matrix(n_trials, rng, planted_col=None, gap=2.0, erp_gap=0.0):
         columns=column_names(),
         labels=labels,
         block_of=block_of,
-        erp=ErpEpochs(data=erp, fs_out=50.0, labels=labels, block_of=block_of),
+        erp=ErpEpochs(data=erp, labels=labels, block_of=block_of),
     )
 
 
@@ -85,7 +85,7 @@ def make_feature_matrix(n_trials, rng, planted_col=None, gap=2.0, erp_gap=0.0):
 
 def test_folds_balanced_for_320_trials():
     labels = np.array(["face"] * 160 + ["scene"] * 160)
-    folds = stratified_kfold(labels, k=5, seed=0)
+    folds = stratified_kfold(labels, seed=0)
     for f in folds:
         assert len(f) == 64
         assert np.sum(labels[f] == "face") == 32
@@ -95,7 +95,7 @@ def test_folds_balanced_for_320_trials():
 def test_folds_partition_all_indices():
     rng = np.random.default_rng(1)
     labels = rng.choice(["face", "scene"], size=103, p=[0.3, 0.7])
-    folds = stratified_kfold(labels, k=5, seed=3)
+    folds = stratified_kfold(labels, seed=3)
     allidx = np.concatenate(folds)
     assert len(allidx) == 103
     assert len(np.unique(allidx)) == 103
@@ -120,7 +120,7 @@ def test_folds_deterministic():
 def test_folds_small_class_rejected():
     labels = np.array(["face"] * 4 + ["scene"] * 30)
     with pytest.raises(EvalError, match="face"):
-        stratified_kfold(labels, k=5, seed=0)
+        stratified_kfold(labels, seed=0)
 
 
 # -- ROC / AUC -----------------------------------------------------------------------
@@ -445,6 +445,18 @@ def _one_node_self_loop(doc):
         ("svm", lambda d: d.update(params=5), EvalError,
          "^model file field 'params' must be a JSON object, got int$"),
         ("rf", lambda d: json.dumps(d)[:-1], EvalError, "^model file is not JSON: "),
+        ("rf", lambda d: d["rf"]["trees"].__setitem__(0, 5), EvalError,
+         r"^model file field 'rf.trees\[0\]' must be a JSON object, got int$"),
+        ("rf", lambda d: d["rf"]["trees"].__setitem__(0, [1, 2]), EvalError,
+         r"^model file field 'rf.trees\[0\]' must be a JSON object, got list$"),
+        ("rf", lambda d: d["rf"].update(trees=5), EvalError,
+         "^model file field 'rf.trees' must be a list, got int$"),
+        ("rf", lambda d: _tree(d).update(feature=[str(f) for f in _tree(d)["feature"]]),
+         ForestError, "^tree feature must hold integers$"),
+        ("rf", lambda d: d["rf"].update(seed="abc"), EvalError,
+         "^model file field 'rf.seed' must list integers, got 'abc'$"),
+        ("rf", lambda d: d["params"].update(n_estimators="x"), EvalError,
+         "^params field 'n_estimators': invalid literal for int"),
     ],
     ids=[
         "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
@@ -454,7 +466,9 @@ def _one_node_self_loop(doc):
         "tree_leaf_counts_empty", "tree_counts_negative",
         "tree_counts_not_integer", "lda_w_ragged", "col_std_not_numeric",
         *[f"missing_{path[-1]}" for _, path in MISSING_FIELDS], "schema_v1",
-        "top_level_array", "params_not_object", "not_json",
+        "top_level_array", "params_not_object", "not_json", "tree_entry_int",
+        "tree_entry_list", "trees_not_list", "tree_feature_strings", "seed_not_integers",
+        "n_estimators_not_integer",
     ],
 )
 def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):

@@ -21,7 +21,7 @@ from attndecode import (
     window_stats,
     write_feature_matrix,
 )
-from attndecode.dsp import design_butterworth_bandpass
+from attndecode.dsp import baseline_correct, design_butterworth_bandpass, filtfilt, knn_smooth
 from attndecode.features import (
     N_ERP_STAT_COLS,
     N_FEATURES,
@@ -48,7 +48,6 @@ FS = 250.0
 def test_erp_epoch_shape(small_easy_pre):
     ep = erp_epochs(small_easy_pre)
     assert ep.data.shape == (16, 8, 50)
-    assert ep.fs_out == 50.0
     assert np.array_equal(ep.labels, np.repeat(list(small_easy_pre.block_labels), 8))
 
 
@@ -154,8 +153,12 @@ def _kernel_rows(rng, n):
 @pytest.mark.parametrize(
     "kernel, n, n_out",
     [(window_stats, 50, 42), (envelope_statistics, 250, 6), (envelope_statistics, 17, 6),
-     (functools.partial(analytic_envelope, band=DEFAULT_BANDS[1], fs=FS), 1000, 1000)],
-    ids=["window_stats", "envelope_statistics", "envelope_statistics_odd", "analytic_envelope"],
+     (functools.partial(analytic_envelope, band=DEFAULT_BANDS[1], fs=FS), 1000, 1000),
+     (functools.partial(filtfilt, design_butterworth_bandpass(5, 0.4, 40.0, FS)), 1000, 1000),
+     (functools.partial(knn_smooth, k=7), 300, 300),
+     (lambda x: baseline_correct(x, x[..., 40:90]), 300, 300)],
+    ids=["window_stats", "envelope_statistics", "envelope_statistics_odd", "analytic_envelope",
+         "filtfilt", "knn_smooth", "baseline_correct"],
 )
 def test_stacked_kernels_equal_row_by_row_calls(kernel, n, n_out):
     # bit-equality, not a tolerance: the feature artifacts are defined by the
@@ -164,6 +167,7 @@ def test_stacked_kernels_equal_row_by_row_calls(kernel, n, n_out):
     expected = np.array([kernel(r) for r in rows])
     assert expected.shape == (len(rows), n_out)
     assert np.array_equal(kernel(rows), expected)
+    assert kernel(rows).flags.c_contiguous
     assert np.array_equal(kernel(rows.reshape(2, 4, n)), expected.reshape(2, 4, n_out))
 
 
@@ -280,8 +284,8 @@ def test_tf_scale_invariance_of_db_maps(small_easy_pre):
     import dataclasses
 
     rec3 = dataclasses.replace(rec, samples=scaled)
-    a, _ = _tf_extract(rec, None)
-    b, _ = _tf_extract(rec3, None)
+    a, _ = _tf_extract(rec)
+    b, _ = _tf_extract(rec3)
     block0 = np.flatnonzero(np.arange(16) < 8)
     np.testing.assert_allclose(a[block0], b[block0], rtol=1e-9, atol=1e-9)
 

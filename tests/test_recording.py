@@ -115,6 +115,23 @@ def test_mixed_labels_within_block_rejected(tmp_path, small_easy_rec):
         load_recording(tmp_path / "ds")
 
 
+@pytest.mark.parametrize("column, value", [(-1, "scenery"), (-3, "activityX")],
+                         ids=["label_scenery", "phase_activityX"])
+def test_overlong_annotation_text_fails_at_its_line(tmp_path, column, value):
+    # a U5/U8 cast would cut these to "scene"/"activity" and load them
+    write_recording(synthesize(SynthConfig(n_blocks=2, trials_per_block=8, seed=5)),
+                    tmp_path / "ds")
+    csv_path = tmp_path / "ds" / "recording.csv"
+    lines = csv_path.read_text().split("\n")
+    row = lines[3001].split(",")  # the first activity sample of block 0, a scene block
+    assert row[-3:] == ["activity", "0", "scene"]
+    row[column] = value
+    lines[3001] = ",".join(row)
+    csv_path.write_text("\n".join(lines))
+    with pytest.raises(DatasetError, match=rf"recording.csv:3002: unknown \w+ value '{value}'$"):
+        load_recording(tmp_path / "ds")
+
+
 def test_malformed_row_reports_line(tmp_path, small_easy_rec):
     write_recording(small_easy_rec, tmp_path / "ds")
     csv_path = tmp_path / "ds" / "recording.csv"

@@ -135,7 +135,6 @@ def test_irrelevant_trials_recorded():
         (dict(n_blocks=0), "even"),
         (dict(trials_per_block=4), "trials_per_block"),
         (dict(snr_preset="impossible"), "snr_preset"),
-        (dict(fs=250.5), "fs"),
     ],
 )
 def test_invalid_config(kwargs, match):

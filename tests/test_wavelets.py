@@ -71,11 +71,5 @@ def test_signal_shorter_than_kernel_rejected():
 
 
 def test_bank_validation():
-    with pytest.raises(DspError):
-        build_wavelet_bank(freqs=[0.0, 1.0], fs=FS)
-    with pytest.raises(DspError):
-        build_wavelet_bank(freqs=[5.0, 4.0], fs=FS)
-    with pytest.raises(DspError):
-        build_wavelet_bank(cycles=(10.0, 0.1), fs=FS)
     with pytest.raises(DspError, match="too low"):
         build_wavelet_bank(fs=60.0)
