@@ -45,13 +45,18 @@ class RunConfig:
     )
 
     def __post_init__(self):
+        for f in fields(self):  # a JSON config can give any type; a bool is no number
+            v = getattr(self, f.name)
+            want = {"int": (int, "an integer"), "float": ((int, float), "a number")}.get(f.type)
+            if want and (isinstance(v, bool) or not isinstance(v, want[0])):
+                raise CliError(f"{f.name} must be {want[1]}, got {v!r}")
         if self.model not in MODEL_CHOICES:
             raise CliError(f"model must be one of {MODEL_CHOICES}, got {self.model!r}")
         if not 1 <= self.filter_order <= 12:
             raise CliError(f"filter_order {self.filter_order} outside [1, 12]")
         if not 0 < self.band_lo < self.band_hi:
             raise CliError(f"bad filter band [{self.band_lo}, {self.band_hi}]")
-        if self.mad_k <= 0:
+        if not self.mad_k > 0:  # NaN too
             raise CliError(f"mad_k must be positive, got {self.mad_k}")
         if self.smooth_k < 1 or self.smooth_k % 2 != 1:
             raise CliError(f"smooth_k must be odd and >= 1, got {self.smooth_k}")

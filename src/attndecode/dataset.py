@@ -25,12 +25,12 @@ CSV_NAME = "recording.csv"
 
 _CSV_COLUMNS = ("t_s", *CHANNELS, "block", "phase", "trial", "label")
 _META_KEYS = ("subject_id", "fs", "channel_names", "n_blocks", "block_labels")
-_META_TYPES = {
-    "fs": float,
-    "n_blocks": int,
-    "trials_per_block": int,
-    "channel_names": tuple,
-    "block_labels": tuple,
+_META_TYPES = {  # key: JSON types, their name, and the lossless cast to the stored type
+    "fs": ((int, float), "a number", float),
+    "n_blocks": (int, "an integer", int),
+    "trials_per_block": (int, "an integer", int),
+    "channel_names": (list, "a list", tuple),
+    "block_labels": (list, "a list", tuple),
 }
 
 # Rows formatted per write: bounds the text held in memory at once.
@@ -186,12 +186,12 @@ def load_recording(path) -> Recording:
     for key in _META_KEYS:
         if key not in meta:
             raise DatasetError(f"{meta_path}: missing key {key!r}")
-    for key, kind in _META_TYPES.items():
+    for key, (types, name, cast) in _META_TYPES.items():
         if key in meta:
-            try:
-                meta[key] = kind(meta[key])
-            except (TypeError, ValueError) as e:
-                raise DatasetError(f"{meta_path}: bad {key!r}: {e}") from e
+            v = meta[key]
+            if isinstance(v, bool) or not isinstance(v, types):  # a bool is no number
+                raise DatasetError(f"{meta_path}: bad {key!r}: must be {name}, got {v!r}")
+            meta[key] = cast(v)
     channel_names = meta["channel_names"]
     if len(channel_names) != len(CHANNELS):
         raise DatasetError(

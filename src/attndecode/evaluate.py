@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -27,14 +28,7 @@ from .features import (
     lda_fit,
     lda_project,
 )
-from .forest import (
-    INT_RANGES,
-    RfHyperParams,
-    RfModel,
-    Tree,
-    rf_predict_proba,
-    rf_train,
-)
+from .forest import RfHyperParams, RfModel, rf_predict_proba, rf_train
 from .recording import CHANNELS
 from .svm import SvmHyperParams, SvmModel, squared_distances, svm_decision, svm_train
 
@@ -65,19 +59,8 @@ class ModelSpec:
         self.hyperparams()
 
     def hyperparams(self) -> SvmHyperParams | RfHyperParams:
-        if self.kind == "svm":
-            return SvmHyperParams(C=self._param("C", float), gamma=self._param("gamma", float))
-        return RfHyperParams(
-            **{name: self._param(name, int) for name in INT_RANGES},
-            max_features=str(self.params["max_features"]),
-            criterion=str(self.params["criterion"]),
-        )
-
-    def _param(self, name: str, kind: type):
-        try:
-            return kind(self.params[name])
-        except (TypeError, ValueError) as e:
-            raise EvalError(f"params field {name!r}: {e}") from None
+        return _read(SvmHyperParams if self.kind == "svm" else RfHyperParams, self.params,
+                     owner="params")
 
     def fit(
         self, x: np.ndarray, y: np.ndarray, seed, d2: Callable[[], np.ndarray] | None = None
@@ -232,19 +215,6 @@ class FoldTransform:
         x = _with_lda_columns(values, erp_data, self.lda_w, self.lda_b)
         return (x - self.col_mean) / self.col_std
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FoldTransform":
-        arrays = {}
-        for f in fields(cls):
-            try:
-                arrays[f.name] = np.array(doc[f.name], float)
-            except (TypeError, ValueError) as e:  # a ragged list or a non-number
-                raise EvalError(f"{f.name}: {e}") from e
-        return cls(**arrays)
-
 
 def _with_lda_columns(values, erp_data, lda_w, lda_b) -> np.ndarray:
     x = np.array(values, float, copy=True)
@@ -379,19 +349,6 @@ def _plain(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _fields_from(cls, doc: dict, **given) -> dict:
-    """Constructor arguments for dataclass cls: given ones, the rest read
-    from doc by field name, lists as arrays."""
-    for f in fields(cls):
-        if f.name not in given:
-            v = doc[f.name]
-            try:
-                given[f.name] = np.array(v) if isinstance(v, list) else v
-            except ValueError as e:  # a ragged list
-                raise EvalError(f"{f.name}: {e}") from e
-    return given
-
-
 def model_to_json(model: TrainedModel) -> str:
     block = _plain(model.inner)
     hyperparams = block.pop("hyperparams")
@@ -401,22 +358,64 @@ def model_to_json(model: TrainedModel) -> str:
         "schema_version": SERIAL_VERSION,
         "kind": model.spec.kind,
         "params": model.spec.params,
-        **model.transform.to_dict(),
+        **_plain(model.transform),
         model.spec.kind: block,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _json_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise EvalError(f"{name} must be a JSON object, got {type(value).__name__}")
+@cache
+def _field_types(cls) -> dict:
+    """Field name -> annotation of dataclass cls, resolved once per class."""
+    return get_type_hints(cls)
+
+
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            str: (str, "a string"), dict: (dict, "a JSON object")}
+
+
+def _read(tp, value, path: str = "", owner: str = "model file", **given):
+    """Value of annotation tp from JSON value: the inverse of _plain.
+
+    A dataclass is an object read field by field (given fields are taken
+    as they are), tuple[X, ...] a list of X, an ndarray a rectangular list
+    of numbers; a bool is never a number. A mismatch raises EvalError
+    naming path, the value's place below owner.
+    """
+    where = f"{owner} field {path!r}" if path else owner
+    if is_dataclass(tp):
+        _read(dict, value, path, owner)
+        for name, hint in _field_types(tp).items():
+            if name not in given:
+                if name not in value:
+                    raise EvalError(f"{owner} has no field {name!r}")
+                given[name] = _read(hint, value[name], f"{path}.{name}" if path else name, owner)
+        return tp(**given)
+    if tp is np.ndarray or get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise EvalError(f"{where} must be a list, got {type(value).__name__}")
+        if tp is not np.ndarray:
+            return tuple(_read(get_args(tp)[0], v, f"{path}[{i}]", owner)
+                         for i, v in enumerate(value))
+        try:
+            array = np.array(value)
+        except ValueError as e:  # ragged
+            raise EvalError(f"{where} must be a rectangular list of numbers ({path}: {e})") from e
+        if array.dtype.kind not in "iuf":
+            got = {"b": "bool", "U": "str"}.get(array.dtype.kind, "object")
+            raise EvalError(f"{where} must hold numbers, got {got}")
+        return array
+    types, name = _SCALARS[tp]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise EvalError(f"{where} must be {name}, got {type(value).__name__}")
     return value
 
 
 def model_from_json(text: str) -> TrainedModel:
-    """Parse a model file; arrays that do not fit together are refused."""
+    """Parse a model file; each field is read as its dataclass annotation
+    says, and arrays that do not fit together are refused."""
     try:
-        doc = _json_object(json.loads(text), "model file")
+        doc = _read(dict, json.loads(text))
     except json.JSONDecodeError as e:
         raise EvalError(f"model file is not JSON: {e}") from None
     version = doc.get("schema_version")
@@ -425,26 +424,15 @@ def model_from_json(text: str) -> TrainedModel:
             f"model file is schema {version!r}; this version reads {SERIAL_VERSION}"
             " — re-run evaluate"
         )
-    try:
-        spec = ModelSpec(doc["kind"], _json_object(doc["params"], "model file field 'params'"))
-        block = _json_object(doc[spec.kind], f"model file field {spec.kind!r}")
-        if spec.kind == "svm":
-            hp = SvmHyperParams(C=block["C"], gamma=block["gamma"])
-            inner = SvmModel(**_fields_from(SvmModel, block, hyperparams=hp))
-        else:
-            trees, seed = block["trees"], block["seed"]
-            if not isinstance(trees, list):
-                raise EvalError(f"model file field 'rf.trees' must be a list, got "
-                                f"{type(trees).__name__}")
-            if not (isinstance(seed, list) and all(type(s) is int for s in seed)):
-                raise EvalError(f"model file field 'rf.seed' must list integers, got {seed!r}")
-            trees = [_json_object(t, f"model file field 'rf.trees[{i}]'")
-                     for i, t in enumerate(trees)]
-            trees = tuple(Tree(**_fields_from(Tree, t)) for t in trees)
-            inner = RfModel(trees, spec.hyperparams(), tuple(seed), block["n_features"])
-        return TrainedModel(spec, FoldTransform.from_dict(doc), inner)
-    except KeyError as e:
-        raise EvalError(f"model file has no field {e.args[0]!r}") from None
+    spec = _read(ModelSpec, doc)
+    if spec.kind not in doc:
+        raise EvalError(f"model file has no field {spec.kind!r}")
+    block = doc[spec.kind]
+    if spec.kind == "svm":
+        inner = _read(SvmModel, block, "svm", hyperparams=_read(SvmHyperParams, block, "svm"))
+    else:
+        inner = _read(RfModel, block, "rf", hyperparams=spec.hyperparams())
+    return TrainedModel(spec, _read(FoldTransform, doc), inner)
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -196,6 +196,8 @@ class RfModel:
     n_features: int
 
     def __post_init__(self):
+        if not self.trees:
+            raise ForestError("forest has no trees")
         for tree in self.trees:
             if tree.feature.max() >= self.n_features:
                 raise ForestError(f"tree feature {tree.feature.max()} >= {self.n_features}")

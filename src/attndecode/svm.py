@@ -62,6 +62,8 @@ class SvmModel:
         for name in ("dual_coef", "sv_index"):
             if getattr(self, name).shape != (n_sv,):
                 raise SvmError(f"{name} must hold one value per support vector ({n_sv})")
+        if not np.issubdtype(self.sv_index.dtype, np.integer):
+            raise SvmError("sv_index must hold integers")
 
     @property
     def n_features(self) -> int:

@@ -253,8 +253,22 @@ def test_config_file_threads_through(tmp_path, capsys):
         ('{"bogus": 1, "seed": 2}', "unknown config keys ['bogus']"),
         ("{nope", "Expecting property name"),
         ("[1, 2]", "config must be a JSON object"),
+        ('{"trials": 2.5}', "trials must be an integer, got 2.5"),
+        ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+        ('{"seed": "x"}', "seed must be an integer, got 'x'"),
+        ('{"smooth_k": 7.0}', "smooth_k must be an integer, got 7.0"),
+        ('{"filter_order": 4.0}', "filter_order must be an integer, got 4.0"),
+        ('{"trials": true}', "trials must be an integer, got True"),
+        ('{"seed": true}', "seed must be an integer, got True"),
+        ('{"mad_k": true}', "mad_k must be a number, got True"),
+        ('{"band_lo": "1"}', "band_lo must be a number, got '1'"),
+        ('{"band_hi": null}', "band_hi must be a number, got None"),
+        ('{"mad_k": NaN}', "mad_k must be positive, got nan"),
     ],
-    ids=["unknown_key", "invalid_json", "not_an_object"],
+    ids=["unknown_key", "invalid_json", "not_an_object", "trials_fractional",
+         "seed_fractional", "seed_string", "smooth_k_float", "filter_order_float",
+         "trials_bool", "seed_bool", "mad_k_bool", "band_lo_string", "band_hi_null",
+         "mad_k_nan"],
 )
 def test_bad_config_file_fails_in_one_line_naming_it(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.json"

@@ -20,7 +20,7 @@ from attndecode import (
     stratified_kfold,
     train_full_model,
 )
-from attndecode.evaluate import build_cv_plan, evaluate_on_plan
+from attndecode.evaluate import TrainedModel, build_cv_plan, evaluate_on_plan
 from attndecode.features import ERP_SAMPLES, N_FEATURES, ErpEpochs, FeatureMatrix, column_names
 from attndecode.forest import ForestError
 from attndecode.recording import CHANNELS
@@ -431,7 +431,7 @@ def _one_node_self_loop(doc):
         ("rf", lambda d: _leaf_counts(d, [1.5, 3]), ForestError, "tree counts must hold integers"),
         ("rf", lambda d: d["lda_w"][0].pop(), EvalError, "lda_w: .*inhomogeneous"),
         ("svm", lambda d: d["col_std"].__setitem__(0, "wide"), EvalError,
-         "col_std: could not convert"),
+         "^model file field 'col_std' must hold numbers, got str$"),
         *[
             (kind, lambda d, path=path: _pop_field(d, path), EvalError,
              f"model file has no field '{path[-1]}'")
@@ -452,11 +452,36 @@ def _one_node_self_loop(doc):
         ("rf", lambda d: d["rf"].update(trees=5), EvalError,
          "^model file field 'rf.trees' must be a list, got int$"),
         ("rf", lambda d: _tree(d).update(feature=[str(f) for f in _tree(d)["feature"]]),
-         ForestError, "^tree feature must hold integers$"),
+         EvalError, r"^model file field 'rf\.trees\[0\]\.feature' must hold numbers, got str$"),
         ("rf", lambda d: d["rf"].update(seed="abc"), EvalError,
-         "^model file field 'rf.seed' must list integers, got 'abc'$"),
+         r"^model file field 'rf\.seed' must be a list, got str$"),
         ("rf", lambda d: d["params"].update(n_estimators="x"), EvalError,
-         "^params field 'n_estimators': invalid literal for int"),
+         "^params field 'n_estimators' must be an integer, got str$"),
+        ("svm", lambda d: d["svm"].update(bias="x"), EvalError,
+         r"^model file field 'svm\.bias' must be a number, got str$"),
+        ("svm", lambda d: d["svm"].update(bias=None), EvalError,
+         r"^model file field 'svm\.bias' must be a number, got NoneType$"),
+        ("svm", lambda d: d["svm"].update(C="x"), EvalError,
+         r"^model file field 'svm\.C' must be a number, got str$"),
+        ("svm", lambda d: d["svm"].update(support_vectors=5), EvalError,
+         r"^model file field 'svm\.support_vectors' must be a list, got int$"),
+        ("svm", lambda d: d["svm"].update(n_passes="x"), EvalError,
+         r"^model file field 'svm\.n_passes' must be an integer, got str$"),
+        ("svm", lambda d: d["svm"].update(dual_objective="x"), EvalError,
+         r"^model file field 'svm\.dual_objective' must be a number, got str$"),
+        ("svm", lambda d: d["svm"].update(sv_index=[i + 0.5 for i in d["svm"]["sv_index"]]),
+         SvmError, "^sv_index must hold integers$"),
+        ("rf", lambda d: _tree(d).update(threshold=[str(t) for t in _tree(d)["threshold"]]),
+         EvalError, r"^model file field 'rf\.trees\[0\]\.threshold' must hold numbers, got str$"),
+        ("rf", lambda d: d["rf"].update(trees=[]), ForestError, "^forest has no trees$"),
+        ("rf", lambda d: d["rf"].update(n_features="abc"), EvalError,
+         r"^model file field 'rf\.n_features' must be an integer, got str$"),
+        ("rf", lambda d: d["rf"].update(n_features=None), EvalError,
+         r"^model file field 'rf\.n_features' must be an integer, got NoneType$"),
+        ("rf", lambda d: d["params"].update(n_estimators=7.9), EvalError,
+         "^params field 'n_estimators' must be an integer, got float$"),
+        ("rf", lambda d: d["params"].update(n_estimators="7"), EvalError,
+         "^params field 'n_estimators' must be an integer, got str$"),
     ],
     ids=[
         "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
@@ -468,7 +493,10 @@ def _one_node_self_loop(doc):
         *[f"missing_{path[-1]}" for _, path in MISSING_FIELDS], "schema_v1",
         "top_level_array", "params_not_object", "not_json", "tree_entry_int",
         "tree_entry_list", "trees_not_list", "tree_feature_strings", "seed_not_integers",
-        "n_estimators_not_integer",
+        "n_estimators_not_integer", "svm_bias_string", "svm_bias_null", "svm_C_string",
+        "support_vectors_int", "n_passes_string", "dual_objective_string",
+        "sv_index_not_integer", "tree_threshold_strings", "trees_empty", "n_features_string",
+        "n_features_null", "n_estimators_fractional", "n_estimators_numeric_string",
     ],
 )
 def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):
@@ -477,6 +505,36 @@ def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message)
     text = edit(doc)
     with pytest.raises(error, match=message):
         model_from_json(text if isinstance(text, str) else json.dumps(doc))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(kind=st.sampled_from(["svm", "rf"]), data=st.data())
+def test_any_one_field_edit_loads_or_is_refused(model_docs, kind, data):
+    # replace or delete one field at any depth with any JSON value; only
+    # the containers on the way down are copied
+    doc = node = dict(model_docs[kind])
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        node[key] = node = copy.copy(child)
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(JSON_VALUES)
+    try:
+        assert isinstance(model_from_json(json.dumps(doc)), TrainedModel)
+    except (EvalError, ForestError, SvmError):
+        pass
 
 
 def test_model_json_schema_versioned():

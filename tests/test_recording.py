@@ -64,7 +64,11 @@ def test_channel_count_mismatch_meta(tmp_path, small_easy_rec):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("fs", "abc"), ("n_blocks", [2]), ("block_labels", 3)]
+    "key, value",
+    [
+        ("fs", "abc"), ("n_blocks", [2]), ("block_labels", 3), ("trials_per_block", 8.9),
+        ("n_blocks", 2.5), ("fs", "250"), ("fs", True), ("block_labels", "fs"),
+    ],
 )
 def test_meta_field_of_wrong_type_names_meta_json(tmp_path, small_easy_rec, key, value):
     write_recording(small_easy_rec, tmp_path / "ds")
