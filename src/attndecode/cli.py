@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import dataset, dsp, evaluate, features, report, synth, tune, wavelets
-from .recording import DEFAULT_BANDS, BandDefinition, RecordingError
+from .recording import RecordingError
 
 
 class CliError(ValueError):
@@ -28,48 +28,26 @@ MODEL_CHOICES = (*evaluate.MODEL_KINDS, "both")
 
 @dataclass
 class RunConfig:
-    """Pipeline constants; JSON round-trips losslessly via to/from_json."""
+    """Per-run values; JSON round-trips losslessly via to/from_json. The
+    preprocessing chain and the band set are constants of dsp and recording."""
 
     data: str | None = None
     out: str | None = None
     model: str = "both"
     trials: int = 50
     seed: int = 0
-    filter_order: int = dsp.DEFAULT_FILTER_ORDER
-    band_lo: float = dsp.DEFAULT_BAND[0]
-    band_hi: float = dsp.DEFAULT_BAND[1]
-    mad_k: float = dsp.DEFAULT_MAD_K
-    smooth_k: int = dsp.DEFAULT_SMOOTH_K
-    bands: list = field(
-        default_factory=lambda: [[b.name, b.lo, b.hi] for b in DEFAULT_BANDS]
-    )
 
     def __post_init__(self):
         for f in fields(self):  # a JSON config can give any type; a bool is no number
             v = getattr(self, f.name)
-            want = {"int": (int, "an integer"), "float": ((int, float), "a number")}.get(f.type)
-            if want and (isinstance(v, bool) or not isinstance(v, want[0])):
+            want = {"str | None": ((str, type(None)), "a string or null"),
+                    "str": (str, "a string"), "int": (int, "an integer")}[f.type]
+            if isinstance(v, bool) or not isinstance(v, want[0]):
                 raise CliError(f"{f.name} must be {want[1]}, got {v!r}")
         if self.model not in MODEL_CHOICES:
             raise CliError(f"model must be one of {MODEL_CHOICES}, got {self.model!r}")
-        if not 1 <= self.filter_order <= 12:
-            raise CliError(f"filter_order {self.filter_order} outside [1, 12]")
-        if not 0 < self.band_lo < self.band_hi:
-            raise CliError(f"bad filter band [{self.band_lo}, {self.band_hi}]")
-        if not self.mad_k > 0:  # NaN too
-            raise CliError(f"mad_k must be positive, got {self.mad_k}")
-        if self.smooth_k < 1 or self.smooth_k % 2 != 1:
-            raise CliError(f"smooth_k must be odd and >= 1, got {self.smooth_k}")
         if self.trials < 1:
             raise CliError(f"trials must be >= 1, got {self.trials}")
-        # band edges are settable, but the names fix the feature columns
-        names = [b.name for b in self.band_definitions()]
-        expected = [b.name for b in DEFAULT_BANDS]
-        if names != expected:
-            raise CliError(f"bands must be named {expected} in this order, got {names}")
-
-    def band_definitions(self) -> tuple[BandDefinition, ...]:
-        return tuple(BandDefinition(str(n), float(lo), float(hi)) for n, lo, hi in self.bands)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -137,13 +115,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _load_config(args)
     rec = dataset.load_recording(_require(cfg, "data"))
-    out = dsp.preprocess(
-        rec,
-        filter_order=cfg.filter_order,
-        band=(cfg.band_lo, cfg.band_hi),
-        mad_k=cfg.mad_k,
-        smooth_k=cfg.smooth_k,
-    )
+    out = dsp.preprocess(rec)
     out_dir = _require(cfg, "out")
     dataset.write_recording(out, out_dir)
     print(f"wrote preprocessed dataset: {out_dir}")
@@ -159,7 +131,7 @@ def cmd_features(args) -> int:
             file=sys.stderr,
         )
     out = _require(cfg, "out")
-    fm, maps = features.extract_features(rec, bands=cfg.band_definitions())
+    fm, maps = features.extract_features(rec)
     features.write_feature_matrix(fm, out)
     features.write_tf_class_maps(maps, wavelets.DEFAULT_FREQS_HZ, out)
     meta = {"subject_id": rec.subject_id, "fs": rec.fs, "n_trials": fm.n_trials}

@@ -26,6 +26,7 @@ CSV_NAME = "recording.csv"
 _CSV_COLUMNS = ("t_s", *CHANNELS, "block", "phase", "trial", "label")
 _META_KEYS = ("subject_id", "fs", "channel_names", "n_blocks", "block_labels")
 _META_TYPES = {  # key: JSON types, their name, and the lossless cast to the stored type
+    "subject_id": (str, "a string", str),
     "fs": ((int, float), "a number", float),
     "n_blocks": (int, "an integer", int),
     "trials_per_block": (int, "an integer", int),
@@ -219,7 +220,7 @@ def load_recording(path) -> Recording:
     extra = {k: v for k, v in meta.items() if k not in _META_KEYS + ("trials_per_block",)}
     try:
         rec = Recording(
-            subject_id=str(meta["subject_id"]),
+            subject_id=meta["subject_id"],
             fs=meta["fs"],
             channels=channel_names,
             samples=np.ascontiguousarray(numbers[:, 1:].T),

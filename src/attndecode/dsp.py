@@ -161,14 +161,7 @@ def baseline_correct(activity: np.ndarray, baseline: np.ndarray) -> np.ndarray:
     return np.asarray(activity, float) - baseline.mean(axis=-1, keepdims=True)
 
 
-def preprocess(
-    rec: Recording,
-    *,
-    filter_order: int = DEFAULT_FILTER_ORDER,
-    band: tuple[float, float] = DEFAULT_BAND,
-    mad_k: float = DEFAULT_MAD_K,
-    smooth_k: int = DEFAULT_SMOOTH_K,
-) -> Recording:
+def preprocess(rec: Recording) -> Recording:
     """Run the full chain on every channel and return a new recording.
 
     Filtering/despiking/smoothing act on the continuous channel signal;
@@ -176,14 +169,14 @@ def preprocess(
     block so the signal stays continuous); the final z-score is an affine
     map per channel computed from the activity samples of all blocks.
     """
-    filt = design_butterworth_bandpass(filter_order, band[0], band[1], rec.fs)
+    filt = design_butterworth_bandpass(DEFAULT_FILTER_ORDER, *DEFAULT_BAND, rec.fs)
     out = filtfilt(filt, rec.samples)
     for c, name in enumerate(rec.channels):
         try:
-            out[c], _ = despike_mad(out[c], k=mad_k)
+            out[c], _ = despike_mad(out[c])
         except DspError as e:
             raise DspError(f"channel {name}: {e}") from e
-    out = knn_smooth(out, k=smooth_k)
+    out = knn_smooth(out)
 
     for b in range(rec.n_blocks):
         whole = rec.block_slice(b)

@@ -274,23 +274,21 @@ def envelope_statistics(env: np.ndarray) -> np.ndarray:
     )
 
 
-def hilbert_features(rec: Recording, bands=DEFAULT_BANDS) -> np.ndarray:
+def hilbert_features(rec: Recording) -> np.ndarray:
     """[n_trials, 240] envelope statistics (6 per channel per band).
 
     Envelopes are computed over each whole block (cue through rest) and then
     sliced per trial, so trial boundaries add no edge artifacts: the circular
     spectral product wraps only at the cue and rest ends of the block.
     """
-    if len(bands) != len(DEFAULT_BANDS):
-        raise FeatureError(f"expected {len(DEFAULT_BANDS)} bands, got {len(bands)}")
     fs_i = int(round(rec.fs))
     tpb = rec.trials_per_block
-    feats = np.empty((rec.n_trials, rec.n_channels, len(bands), len(HILBERT_STATS)))
+    feats = np.empty((rec.n_trials, rec.n_channels, len(DEFAULT_BANDS), len(HILBERT_STATS)))
     for b in range(rec.n_blocks):
         whole = rec.block_slice(b)
         window = rec.trial_starts()[b, :, None] - whole.start + np.arange(fs_i)
         rows = slice(b * tpb, (b + 1) * tpb)
-        for k, band in enumerate(bands):
+        for k, band in enumerate(DEFAULT_BANDS):
             try:
                 env = analytic_envelope(rec.samples[:, whole], band, rec.fs)
             except DspError as e:
@@ -303,7 +301,7 @@ def hilbert_features(rec: Recording, bands=DEFAULT_BANDS) -> np.ndarray:
 # -- assembly ------------------------------------------------------------------
 
 
-def column_names(bands=DEFAULT_BANDS) -> tuple[str, ...]:
+def column_names() -> tuple[str, ...]:
     names = []
     for ch in CHANNELS:
         for start, end in ERP_WINDOWS_MS:
@@ -313,7 +311,7 @@ def column_names(bands=DEFAULT_BANDS) -> tuple[str, ...]:
     for ch in CHANNELS:
         names.extend(f"tf:{ch}:{stat}" for stat in TF_STATS)
     for ch in CHANNELS:
-        for band in bands:
+        for band in DEFAULT_BANDS:
             names.extend(f"hilb:{ch}:{band.name}:{stat}" for stat in HILBERT_STATS)
     return tuple(names)
 
@@ -355,7 +353,7 @@ class FeatureMatrix:
         return self.labels == "face"
 
 
-def extract_features(rec: Recording, bands=DEFAULT_BANDS) -> tuple[FeatureMatrix, dict]:
+def extract_features(rec: Recording) -> tuple[FeatureMatrix, dict]:
     """Assemble the full matrix; also returns TF class-mean maps for reports."""
     ep = erp_epochs(rec)
     n = ep.n_trials
@@ -364,7 +362,7 @@ def extract_features(rec: Recording, bands=DEFAULT_BANDS) -> tuple[FeatureMatrix
 
     tf, class_maps = _tf_extract(rec)
     values[:, TF_COL_START : TF_COL_START + N_TF_COLS] = tf
-    values[:, HILBERT_COL_START:] = hilbert_features(rec, bands)
+    values[:, HILBERT_COL_START:] = hilbert_features(rec)
 
     for fam, lo, hi in (
         ("erp", 0, N_ERP_STAT_COLS),
@@ -374,14 +372,14 @@ def extract_features(rec: Recording, bands=DEFAULT_BANDS) -> tuple[FeatureMatrix
         bad = np.argwhere(~np.isfinite(values[:, lo:hi]))
         if bad.size:
             trial, col = bad[0]
-            ch = parse_column(column_names(bands)[lo + col])[1]
+            ch = parse_column(column_names()[lo + col])[1]
             raise FeatureError(
                 f"non-finite {fam} feature (channel {ch}, trial {trial})"
             )
 
     fm = FeatureMatrix(
         values=values,
-        columns=column_names(bands),
+        columns=column_names(),
         labels=ep.labels,
         block_of=ep.block_of,
         erp=ep,

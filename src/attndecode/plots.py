@@ -6,8 +6,9 @@ time-frequency heatmaps as plain well-formed XML.
 
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
-from xml.sax.saxutils import escape
 
 ROC_MARGIN = 50.0
 ROC_SIZE = 400.0
@@ -53,7 +54,7 @@ class SvgCanvas:
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}"'
             f' font-family="sans-serif" text-anchor="{anchor}"'
-            f' fill="{color}">{escape(str(s))}</text>'
+            f' fill="{color}">{escape(str(s), quote=False)}</text>'
         )
 
     def to_xml(self) -> str:

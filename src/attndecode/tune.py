@@ -407,6 +407,8 @@ def load_study(path, space: SearchSpace) -> Study:
                 raise ValueError(f"expected a {kind!r} record")
             if kind == "trial":
                 index, status, value = rec["index"], rec["status"], rec["value"]
+                if isinstance(index, bool) or isinstance(value, bool):  # True == 1
+                    raise ValueError(f"index {index!r} or value {value!r} is a bool")
                 if index != line_no - 2:
                     raise ValueError(f"index {index!r} is not the trial's position {line_no - 2}")
                 ok = status == "ok" and isinstance(value, numbers.Real) and math.isfinite(value)

@@ -9,7 +9,6 @@ import pytest
 
 import attndecode
 from attndecode.cli import RunConfig, CliError, main
-from attndecode.recording import DEFAULT_BANDS
 
 
 def run(argv):
@@ -203,7 +202,7 @@ def test_flags_a_stage_does_not_read_are_refused(tmp_path, argv, capsys):
 
 
 def test_runconfig_roundtrip():
-    cfg = RunConfig(model="svm", trials=7, seed=3, mad_k=4.5, smooth_k=9)
+    cfg = RunConfig(model="svm", trials=7, seed=3)
     text = cfg.to_json()
     again = RunConfig.from_json(text)
     assert again == cfg
@@ -213,12 +212,6 @@ def test_runconfig_roundtrip():
 def test_runconfig_validation():
     with pytest.raises(CliError):
         RunConfig(model="boost")
-    with pytest.raises(CliError):
-        RunConfig(smooth_k=4)
-    with pytest.raises(CliError):
-        RunConfig(filter_order=0)
-    with pytest.raises(CliError):
-        RunConfig(band_lo=5.0, band_hi=1.0)
 
 
 def test_paths_resolvable_from_config(tmp_path, capsys):
@@ -256,19 +249,22 @@ def test_config_file_threads_through(tmp_path, capsys):
         ('{"trials": 2.5}', "trials must be an integer, got 2.5"),
         ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
         ('{"seed": "x"}', "seed must be an integer, got 'x'"),
-        ('{"smooth_k": 7.0}', "smooth_k must be an integer, got 7.0"),
-        ('{"filter_order": 4.0}', "filter_order must be an integer, got 4.0"),
+        # the preprocessing and band settings are constants, not config keys
+        ('{"smooth_k": 7.0}', "unknown config keys ['smooth_k']"),
+        ('{"filter_order": 4.0}', "unknown config keys ['filter_order']"),
         ('{"trials": true}', "trials must be an integer, got True"),
         ('{"seed": true}', "seed must be an integer, got True"),
-        ('{"mad_k": true}', "mad_k must be a number, got True"),
-        ('{"band_lo": "1"}', "band_lo must be a number, got '1'"),
-        ('{"band_hi": null}', "band_hi must be a number, got None"),
-        ('{"mad_k": NaN}', "mad_k must be positive, got nan"),
+        ('{"mad_k": true}', "unknown config keys ['mad_k']"),
+        ('{"band_lo": "1"}', "unknown config keys ['band_lo']"),
+        ('{"band_hi": null}', "unknown config keys ['band_hi']"),
+        ('{"mad_k": NaN}', "unknown config keys ['mad_k']"),
+        ('{"out": 5}', "out must be a string or null, got 5"),
+        ('{"data": ["x"]}', "data must be a string or null, got ['x']"),
     ],
     ids=["unknown_key", "invalid_json", "not_an_object", "trials_fractional",
          "seed_fractional", "seed_string", "smooth_k_float", "filter_order_float",
          "trials_bool", "seed_bool", "mad_k_bool", "band_lo_string", "band_hi_null",
-         "mad_k_nan"],
+         "mad_k_nan", "out_number", "data_list"],
 )
 def test_bad_config_file_fails_in_one_line_naming_it(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.json"
@@ -280,17 +276,6 @@ def test_bad_config_file_fails_in_one_line_naming_it(tmp_path, capsys, text, mes
     assert message in err
     assert "\n" not in err.strip()
     assert not (tmp_path / "ds").exists()
-
-
-def test_runconfig_requires_default_band_names_in_order():
-    bands = [[b.name, b.lo, b.hi] for b in DEFAULT_BANDS]
-    RunConfig(bands=[[name, lo + 0.5, hi] for name, lo, hi in bands])  # edges may move
-    with pytest.raises(CliError, match="bands must be named"):
-        RunConfig(bands=[["d", 1.0, 4.0]] + bands[1:])
-    with pytest.raises(CliError, match="bands must be named"):
-        RunConfig(bands=bands[1:] + bands[:1])
-    with pytest.raises(CliError, match="bands must be named"):
-        RunConfig(bands=bands[:4])
 
 
 # Synth, preprocess and features in one child process; prints whether numpy

@@ -605,7 +605,7 @@ def test_assemble_reports_non_finite(monkeypatch, small_easy_pre):
 
     real = fmod.hilbert_features
 
-    def poisoned(rec, bands=None):
+    def poisoned(rec):
         out = real(rec)
         out[3, 17] = np.nan
         return out

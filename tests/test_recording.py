@@ -68,6 +68,7 @@ def test_channel_count_mismatch_meta(tmp_path, small_easy_rec):
     [
         ("fs", "abc"), ("n_blocks", [2]), ("block_labels", 3), ("trials_per_block", 8.9),
         ("n_blocks", 2.5), ("fs", "250"), ("fs", True), ("block_labels", "fs"),
+        ("subject_id", None), ("subject_id", 5),
     ],
 )
 def test_meta_field_of_wrong_type_names_meta_json(tmp_path, small_easy_rec, key, value):

@@ -6,6 +6,7 @@ import pytest
 
 from attndecode.evaluate import EvalReport
 from attndecode.plots import (
+    SvgCanvas,
     render_erp_svg,
     render_roc_svg,
     render_tf_maps_svg,
@@ -83,6 +84,15 @@ def test_perfect_roc_polyline_passes_through_top_left():
     x, y = roc_to_canvas(0.0, 1.0)
     target = f"{x:.2f},{y:.2f}"
     assert any(target in p.get("points") for p in polylines)
+
+
+def test_svg_text_escapes_markup_but_not_quotes():
+    canvas = SvgCanvas(10, 10)
+    canvas.text(1, 2, 'a<b&c>"')
+    assert canvas.parts == [
+        '<text x="1.00" y="2.00" font-size="12" font-family="sans-serif"'
+        ' text-anchor="start" fill="#222222">a&lt;b&amp;c&gt;"</text>'
+    ]
 
 
 def test_svgs_wellformed():

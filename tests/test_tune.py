@@ -242,9 +242,14 @@ def test_torn_final_line_is_dropped_and_resume_matches_straight_run(tmp_path, ca
          r"study\.jsonl:3: bad journal line: ValueError.*status 'done' with value 0\.5"),
         (3, '{"kind": "trial", "index": 7, "params": {"x": 1.0}, "status": "ok", "value": 0.5}',
          r"study\.jsonl:3: bad journal line: ValueError.*index 7 is not the trial's position 1"),
+        (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "ok", "value": true}',
+         r"study\.jsonl:3: bad journal line: ValueError.*value True is a bool"),
+        (3, '{"kind": "trial", "index": true, "params": {"x": 1.0}, "status": "ok", "value": 0.5}',
+         r"study\.jsonl:3: bad journal line: ValueError.*index True or value"),
     ],
     ids=["unparsable_middle", "wrong_kind", "missing_keys", "bad_header", "ok_null_value",
-         "ok_nan_value", "failed_with_value", "unknown_status", "index_not_position"],
+         "ok_nan_value", "failed_with_value", "unknown_status", "index_not_position",
+         "ok_bool_value", "index_bool"],
 )
 def test_bad_journal_line_names_path_and_line(tmp_path, line_no, bad, message):
     space = SearchSpace((UniformDim("x", 0.0, 10.0),))
