@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import dataset, dsp, evaluate, features, report, synth, tune, wavelets
@@ -38,12 +38,6 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # a JSON config can give any type; a bool is no number
-            v = getattr(self, f.name)
-            want = {"str | None": ((str, type(None)), "a string or null"),
-                    "str": (str, "a string"), "int": (int, "an integer")}[f.type]
-            if isinstance(v, bool) or not isinstance(v, want[0]):
-                raise CliError(f"{f.name} must be {want[1]}, got {v!r}")
         if self.model not in MODEL_CHOICES:
             raise CliError(f"model must be one of {MODEL_CHOICES}, got {self.model!r}")
         if self.trials < 1:
@@ -54,31 +48,26 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise CliError("config must be a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        doc = dataset.read_json(dict, json.loads(text), "config", CliError)
+        unknown = sorted(set(doc) - set(asdict(cls())))
         if unknown:
             raise CliError(f"unknown config keys {unknown}")
-        return cls(**doc)
+        return dataset.read_json(cls, {**asdict(cls()), **doc}, "config", CliError)
 
 
 def _load_config(args) -> RunConfig:
+    """Defaults, then the --config file, then the flags given."""
+    cfg = RunConfig()
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
             raise CliError(f"missing config file: {path}")
         try:
             cfg = RunConfig.from_json(path.read_text(encoding="utf-8"))
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise CliError(f"{path}: {e}") from e
-    else:
-        cfg = RunConfig()
-    for name in ("data", "out", "model", "trials", "seed"):
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(cfg, name, v)
-    return cfg
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _require(cfg: RunConfig, field_name: str) -> str:
@@ -93,6 +82,15 @@ def _model_kinds(model: str) -> list[str]:
 
 
 FEATURES_META = "features_meta.json"
+
+
+@dataclass(frozen=True)
+class FeaturesMeta:
+    """features_meta.json: whose features a directory holds, and how many trials."""
+
+    subject_id: str
+    fs: float
+    n_trials: int
 
 
 def cmd_synth(args) -> int:
@@ -134,32 +132,35 @@ def cmd_features(args) -> int:
     fm, maps = features.extract_features(rec)
     features.write_feature_matrix(fm, out)
     features.write_tf_class_maps(maps, wavelets.DEFAULT_FREQS_HZ, out)
-    meta = {"subject_id": rec.subject_id, "fs": rec.fs, "n_trials": fm.n_trials}
+    meta = FeaturesMeta(rec.subject_id, rec.fs, fm.n_trials)
     (Path(out) / FEATURES_META).write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(meta), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     print(f"wrote features: {out} ({fm.n_trials} x {fm.values.shape[1]})")
     return 0
 
 
-def _read_features_meta(data_dir) -> dict:
+def _subject_id(data_dir, fm) -> str:
+    """The subject in data_dir's features_meta.json, checked against fm, or "unknown"."""
     p = Path(data_dir) / FEATURES_META
     if not p.is_file():
-        return {"subject_id": "unknown"}
+        return "unknown"
     try:
-        meta = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as e:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
         raise CliError(f"{p}: {e}") from e
-    if not isinstance(meta, dict):
-        raise CliError(f"{p}: expected a JSON object")
-    return meta
+    meta = dataset.read_json(FeaturesMeta, doc, str(p), CliError)
+    if meta.n_trials != fm.n_trials:
+        raise CliError(f"{p}: n_trials is {meta.n_trials}, but {features.FEATURES_CSV} has "
+                       f"{fm.n_trials} trials")
+    return meta.subject_id
 
 
 def cmd_tune(args) -> int:
     cfg = _load_config(args)
     data = _require(cfg, "data")
     fm = features.load_feature_matrix(data)
-    meta = _read_features_meta(data)
+    subject_id = _subject_id(data, fm)
     out = Path(_require(cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
     for kind in _model_kinds(cfg.model):
@@ -169,7 +170,7 @@ def cmd_tune(args) -> int:
             kind,
             n_trials=cfg.trials,
             seed=cfg.seed,
-            subject_id=meta.get("subject_id"),
+            subject_id=subject_id,
             journal=journal,
         )
         best = study.best_trial
@@ -184,7 +185,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     data = _require(cfg, "data")
     fm = features.load_feature_matrix(data)
-    meta = _read_features_meta(data)
+    subject_id = _subject_id(data, fm)
     tf_maps, tf_freqs = features.load_tf_class_maps(data)
     studies_dir = Path(args.studies)
     out = Path(_require(cfg, "out"))
@@ -209,7 +210,7 @@ def cmd_evaluate(args) -> int:
     erp_means = report.erp_class_means(fm.erp.data, fm.labels, features.CHANNELS)
     paths = report.render_report(
         out,
-        subject_id=str(meta.get("subject_id", "unknown")),
+        subject_id=subject_id,
         seed=cfg.seed,
         evals=evals,
         studies=studies,

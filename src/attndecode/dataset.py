@@ -1,5 +1,5 @@
-"""Dataset directory I/O ({meta.json, recording.csv} per recording) and the
-one CSV codec every pipeline artifact goes through.
+"""Dataset directory I/O ({meta.json, recording.csv} per recording), the
+one CSV codec every pipeline artifact goes through, and the one JSON reader.
 
 recording.csv carries one row per sample,
     t_s,Fz,C3,Cz,C4,Pz,PO7,Oz,PO8,block,phase,trial,label
@@ -14,7 +14,10 @@ that does not parse fails in one line naming path:line.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -24,15 +27,6 @@ META_NAME = "meta.json"
 CSV_NAME = "recording.csv"
 
 _CSV_COLUMNS = ("t_s", *CHANNELS, "block", "phase", "trial", "label")
-_META_KEYS = ("subject_id", "fs", "channel_names", "n_blocks", "block_labels")
-_META_TYPES = {  # key: JSON types, their name, and the lossless cast to the stored type
-    "subject_id": (str, "a string", str),
-    "fs": ((int, float), "a number", float),
-    "n_blocks": (int, "an integer", int),
-    "trials_per_block": (int, "an integer", int),
-    "channel_names": (list, "a list", tuple),
-    "block_labels": (list, "a list", tuple),
-}
 
 # Rows formatted per write: bounds the text held in memory at once.
 CSV_CHUNK_ROWS = 4096
@@ -132,7 +126,72 @@ def _raise_first_bad_line(path, rows, n_fields, number_at, error, row_prefix, re
     raise error(f"{path}: {refusal}") from refusal
 
 
+# -- the JSON reader -----------------------------------------------------------
+
+
+@cache
+def _field_types(cls) -> dict:
+    """Field name -> annotation of dataclass cls, resolved once per class."""
+    return get_type_hints(cls)
+
+
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            str: (str, "a string"), dict: (dict, "a JSON object")}
+
+
+def read_json(tp, value, owner, error=DatasetError, path="", **given):
+    """Value of annotation tp from a parsed JSON value: a dataclass is an
+    object read field by field (given fields are taken as they are, other keys
+    ignored), tuple[X, ...] a list of X, an ndarray a rectangular list of
+    numbers, X | None null or an X, a float any number (as a float); a bool is
+    never a number. A mismatch raises error naming path, its place below owner.
+    """
+    where = f"{owner} field {path!r}" if path else owner
+    if is_dataclass(tp):
+        read_json(dict, value, owner, error, path)
+        for name, hint in _field_types(tp).items():
+            if name not in given:
+                if name not in value:
+                    raise error(f"{owner} has no field {name!r}")
+                given[name] = read_json(hint, value[name], owner, error,
+                                        f"{path}.{name}" if path else name)
+        return tp(**given)
+    if tp is np.ndarray or get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise error(f"{where} must be a list, got {type(value).__name__}")
+        if tp is not np.ndarray:
+            return tuple(read_json(get_args(tp)[0], v, owner, error, f"{path}[{i}]")
+                         for i, v in enumerate(value))
+        try:
+            array = np.array(value)
+        except ValueError as e:  # ragged
+            raise error(f"{where} must be a rectangular list of numbers ({path}: {e})") from e
+        # np.array casts a bool among numbers; the object array keeps it
+        kind = "b" if bool in map(type, np.array(value, object).flat) else array.dtype.kind
+        if kind not in "iuf":
+            got = {"b": "bool", "U": "str"}.get(kind, "object")
+            raise error(f"{where} must hold numbers, got {got}")
+        return array
+    inner, *null = get_args(tp) or (tp,)  # X | None gives (X, NoneType)
+    if value is None and null:
+        return None
+    types, name = _SCALARS[inner]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise error(f"{where} must be {name}{' or null' * bool(null)}, got {type(value).__name__}")
+    return float(value) if inner is float else value
+
+
 # -- recordings ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Meta:  # the meta.json keys a Recording is built from; others go to its extra
+    subject_id: str
+    fs: float
+    channel_names: tuple[str, ...]
+    n_blocks: int
+    block_labels: tuple[str, ...]
+    trials_per_block: int
 
 
 def write_recording(rec: Recording, path) -> None:
@@ -140,18 +199,10 @@ def write_recording(rec: Recording, path) -> None:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
 
-    meta = {
-        "subject_id": rec.subject_id,
-        "fs": int(rec.fs),
-        "channel_names": list(rec.channels),
-        "n_blocks": rec.n_blocks,
-        "trials_per_block": rec.trials_per_block,
-        "block_labels": list(rec.block_labels),
-    }
-    for key, value in rec.extra.items():
-        meta.setdefault(key, value)
+    meta = _Meta(rec.subject_id, int(rec.fs), rec.channels, rec.n_blocks,  # fs as an integer
+                 rec.block_labels, rec.trials_per_block)
     (out / META_NAME).write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps({**rec.extra, **asdict(meta)}, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
     write_csv(out / CSV_NAME, _CSV_COLUMNS, [
@@ -179,32 +230,22 @@ def load_recording(path) -> Recording:
         raise DatasetError(f"{root}: missing {CSV_NAME}")
 
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        doc = json.loads(meta_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DatasetError(f"{meta_path}: invalid JSON: {e}") from e
-    if not isinstance(meta, dict):
-        raise DatasetError(f"{meta_path}: expected a JSON object")
-    for key in _META_KEYS:
-        if key not in meta:
-            raise DatasetError(f"{meta_path}: missing key {key!r}")
-    for key, (types, name, cast) in _META_TYPES.items():
-        if key in meta:
-            v = meta[key]
-            if isinstance(v, bool) or not isinstance(v, types):  # a bool is no number
-                raise DatasetError(f"{meta_path}: bad {key!r}: must be {name}, got {v!r}")
-            meta[key] = cast(v)
-    channel_names = meta["channel_names"]
-    if len(channel_names) != len(CHANNELS):
+    meta = read_json(_Meta, doc, str(meta_path))
+    if len(meta.channel_names) != len(CHANNELS):
         raise DatasetError(
-            f"{meta_path}: channel count mismatch: meta lists {len(channel_names)} "
+            f"{meta_path}: channel count mismatch: meta lists {len(meta.channel_names)} "
             f"channels, expected {len(CHANNELS)}"
         )
-    if channel_names != CHANNELS:
-        raise DatasetError(f"{meta_path}: channel names {channel_names} do not match {CHANNELS}")
-    block_labels = meta["block_labels"]
-    if len(block_labels) != meta["n_blocks"]:
+    if meta.channel_names != CHANNELS:
         raise DatasetError(
-            f"{meta_path}: n_blocks={meta['n_blocks']} but {len(block_labels)} block_labels"
+            f"{meta_path}: channel names {meta.channel_names} do not match {CHANNELS}"
+        )
+    if len(meta.block_labels) != meta.n_blocks:
+        raise DatasetError(
+            f"{meta_path}: n_blocks={meta.n_blocks} but {len(meta.block_labels)} block_labels"
         )
 
     header = read_header(csv_path)
@@ -217,25 +258,23 @@ def load_recording(path) -> Recording:
         csv_path, _CSV_COLUMNS, _CSV_COLUMNS[-4:], _annotation, row_prefix="malformed row: "
     )
 
-    extra = {k: v for k, v in meta.items() if k not in _META_KEYS + ("trials_per_block",)}
     try:
         rec = Recording(
-            subject_id=meta["subject_id"],
-            fs=meta["fs"],
-            channels=channel_names,
+            subject_id=meta.subject_id,
+            fs=meta.fs,
+            channels=meta.channel_names,
             samples=np.ascontiguousarray(numbers[:, 1:].T),
             block=block,
             phase=phase,
             trial=trial,
             label=label,
-            block_labels=block_labels,
-            extra=extra,
+            block_labels=meta.block_labels,
+            extra={k: v for k, v in doc.items() if k not in _field_types(_Meta)},
         )
     except RecordingError as e:
         where = csv_path if e.index is None else f"{csv_path}:{e.index + 2}"
         raise DatasetError(f"{where}: {e}") from e
-    declared = meta.get("trials_per_block", rec.trials_per_block)
-    if declared != rec.trials_per_block:
-        raise DatasetError(f"{meta_path}: trials_per_block is {declared}, but every block "
-                           f"has {rec.trials_per_block} trials")
+    if meta.trials_per_block != rec.trials_per_block:
+        raise DatasetError(f"{meta_path}: trials_per_block is {meta.trials_per_block}, but "
+                           f"every block has {rec.trials_per_block} trials")
     return rec

@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cache, cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .dataset import read_json
 from .features import (
     ERP_SAMPLES,
     LDA_COL_START,
@@ -59,8 +59,8 @@ class ModelSpec:
         self.hyperparams()
 
     def hyperparams(self) -> SvmHyperParams | RfHyperParams:
-        return _read(SvmHyperParams if self.kind == "svm" else RfHyperParams, self.params,
-                     owner="params")
+        return read_json(SvmHyperParams if self.kind == "svm" else RfHyperParams, self.params,
+                         "params", EvalError)
 
     def fit(
         self, x: np.ndarray, y: np.ndarray, seed, d2: Callable[[], np.ndarray] | None = None
@@ -364,58 +364,14 @@ def model_to_json(model: TrainedModel) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@cache
-def _field_types(cls) -> dict:
-    """Field name -> annotation of dataclass cls, resolved once per class."""
-    return get_type_hints(cls)
-
-
-_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
-            str: (str, "a string"), dict: (dict, "a JSON object")}
-
-
-def _read(tp, value, path: str = "", owner: str = "model file", **given):
-    """Value of annotation tp from JSON value: the inverse of _plain.
-
-    A dataclass is an object read field by field (given fields are taken
-    as they are), tuple[X, ...] a list of X, an ndarray a rectangular list
-    of numbers; a bool is never a number. A mismatch raises EvalError
-    naming path, the value's place below owner.
-    """
-    where = f"{owner} field {path!r}" if path else owner
-    if is_dataclass(tp):
-        _read(dict, value, path, owner)
-        for name, hint in _field_types(tp).items():
-            if name not in given:
-                if name not in value:
-                    raise EvalError(f"{owner} has no field {name!r}")
-                given[name] = _read(hint, value[name], f"{path}.{name}" if path else name, owner)
-        return tp(**given)
-    if tp is np.ndarray or get_origin(tp) is tuple:
-        if not isinstance(value, list):
-            raise EvalError(f"{where} must be a list, got {type(value).__name__}")
-        if tp is not np.ndarray:
-            return tuple(_read(get_args(tp)[0], v, f"{path}[{i}]", owner)
-                         for i, v in enumerate(value))
-        try:
-            array = np.array(value)
-        except ValueError as e:  # ragged
-            raise EvalError(f"{where} must be a rectangular list of numbers ({path}: {e})") from e
-        if array.dtype.kind not in "iuf":
-            got = {"b": "bool", "U": "str"}.get(array.dtype.kind, "object")
-            raise EvalError(f"{where} must hold numbers, got {got}")
-        return array
-    types, name = _SCALARS[tp]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise EvalError(f"{where} must be {name}, got {type(value).__name__}")
-    return value
+_read_model = partial(read_json, owner="model file", error=EvalError)
 
 
 def model_from_json(text: str) -> TrainedModel:
     """Parse a model file; each field is read as its dataclass annotation
     says, and arrays that do not fit together are refused."""
     try:
-        doc = _read(dict, json.loads(text))
+        doc = _read_model(dict, json.loads(text))
     except json.JSONDecodeError as e:
         raise EvalError(f"model file is not JSON: {e}") from None
     version = doc.get("schema_version")
@@ -424,15 +380,16 @@ def model_from_json(text: str) -> TrainedModel:
             f"model file is schema {version!r}; this version reads {SERIAL_VERSION}"
             " — re-run evaluate"
         )
-    spec = _read(ModelSpec, doc)
+    spec = _read_model(ModelSpec, doc)
     if spec.kind not in doc:
         raise EvalError(f"model file has no field {spec.kind!r}")
     block = doc[spec.kind]
     if spec.kind == "svm":
-        inner = _read(SvmModel, block, "svm", hyperparams=_read(SvmHyperParams, block, "svm"))
+        hyperparams = _read_model(SvmHyperParams, block, path="svm")
+        inner = _read_model(SvmModel, block, path="svm", hyperparams=hyperparams)
     else:
-        inner = _read(RfModel, block, "rf", hyperparams=spec.hyperparams())
-    return TrainedModel(spec, _read(FoldTransform, doc), inner)
+        inner = _read_model(RfModel, block, path="rf", hyperparams=spec.hyperparams())
+    return TrainedModel(spec, _read_model(FoldTransform, doc), inner)
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import read_json
 from .forest import CRITERION_CHOICES, INT_RANGES, MAX_FEATURES_CHOICES, seed_key
 from .svm import HP_RANGE, SvmHyperParams
 
@@ -185,6 +186,16 @@ class Trial:
     params: dict
     value: float | None
     status: str  # "ok" | "failed"
+
+
+@dataclass(frozen=True)
+class _Header:
+    """A journal's first line; seed is compared by value, as written."""
+
+    schema_version: int
+    seed: object
+    model: str | None
+    subject_id: str | None
 
 
 @dataclass
@@ -353,13 +364,8 @@ def optimize(
             fh.truncate(fh.read().rfind(b"\n") + 1)
     elif journal_path is not None:
         journal_path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "kind": "study",
-            "schema_version": JOURNAL_VERSION,
-            "seed": json_seed,
-            "model": model_kind,
-            "subject_id": subject_id,
-        }
+        header = {"kind": "study", **asdict(_Header(JOURNAL_VERSION, json_seed, model_kind,
+                                                    subject_id))}
         journal_path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
 
     for i in range(len(study.trials), n_trials):
@@ -390,9 +396,9 @@ def load_study(path, space: SearchSpace) -> Study:
     """Read a study journal. Text after the last newline is an interrupted
     append: it is dropped with a warning, and a resumed run re-runs that trial
     (trials are seeded by index). Any other bad line fails naming path:line:
-    trial params outside the space, an index other than the trial's
-    position, or a status and value other than "ok" with a finite number or
-    "failed" with null."""
+    a field of the wrong JSON type, trial params outside the space, an index
+    other than the trial's position, or a status and value other than "ok"
+    with a finite number or "failed" with null."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines.pop():  # "" unless the last append was cut short
         log.warning("%s:%d: dropping an interrupted final line", path, len(lines) + 1)
@@ -402,36 +408,28 @@ def load_study(path, space: SearchSpace) -> Study:
     for line_no, line in enumerate(lines, start=1):
         kind = "study" if line_no == 1 else "trial"
         try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict) or rec.get("kind") != kind:
+            doc = json.loads(line)
+            if not isinstance(doc, dict) or doc.get("kind") != kind:
                 raise ValueError(f"expected a {kind!r} record")
-            if kind == "trial":
-                index, status, value = rec["index"], rec["status"], rec["value"]
-                if isinstance(index, bool) or isinstance(value, bool):  # True == 1
-                    raise ValueError(f"index {index!r} or value {value!r} is a bool")
-                if index != line_no - 2:
-                    raise ValueError(f"index {index!r} is not the trial's position {line_no - 2}")
-                ok = status == "ok" and isinstance(value, numbers.Real) and math.isfinite(value)
-                if not (ok or status == "failed" and value is None):
-                    raise ValueError(
-                        f"status {status!r} with value {value!r}: need 'ok' with a finite "
-                        "value or 'failed' with null"
-                    )
-                rec = Trial(index, dict(rec["params"]), float(value) if ok else None, status)
+            if kind == "study":
+                rec = read_json(_Header, doc, "header", ValueError, seed=doc.get("seed"))
+            else:
+                rec = read_json(Trial, doc, "trial", ValueError)
+                if rec.index != line_no - 2:
+                    raise ValueError(f"index {rec.index} is not the trial's position {line_no - 2}")
+                ok = rec.status == "ok" and rec.value is not None and math.isfinite(rec.value)
+                if not (ok or rec.status == "failed" and rec.value is None):
+                    raise ValueError(f"status {rec.status!r} with value {rec.value!r}: need 'ok' "
+                                     "with a finite value or 'failed' with null")
                 space.check(rec.params)
-        except (KeyError, TypeError, ValueError) as e:
+        except (TypeError, ValueError) as e:
             raise TuneError(f"{path}:{line_no}: bad journal line: {e!r}") from e
         records.append(rec)
     header, *trials = records
-    if header.get("schema_version") != JOURNAL_VERSION:
+    if header.schema_version != JOURNAL_VERSION:
         raise TuneError(f"{path}: not a version-{JOURNAL_VERSION} study journal")
-    return Study(
-        space=space,
-        seed=header.get("seed"),
-        subject_id=header.get("subject_id"),
-        model_kind=header.get("model"),
-        trials=trials,
-    )
+    return Study(space=space, seed=header.seed, subject_id=header.subject_id,
+                 model_kind=header.model, trials=trials)
 
 
 def run_study(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -116,6 +117,32 @@ def test_truncated_features_meta_fails_naming_it(pipeline, tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"error: tune: {meta}: Expecting")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.update(n_trials=m["n_trials"] + 1),
+         r"n_trials is 17, but features\.csv has 16 trials"),
+        (lambda m: m.update(subject_id=None), r"field 'subject_id' must be a string, got NoneType"),
+    ],
+    ids=["n_trials_differs", "subject_id_null"],
+)
+@pytest.mark.parametrize("stage", ["tune", "evaluate"])
+def test_bad_features_meta_fails_naming_it(pipeline, tmp_path, capsys, stage, edit, message):
+    feats = shutil.copytree(pipeline["feats"], tmp_path / "feats")
+    meta = feats / "features_meta.json"
+    doc = json.loads(meta.read_text())
+    edit(doc)
+    meta.write_text(json.dumps(doc))
+    argv = [stage, "--data", str(feats), "--out", str(tmp_path / "out"), "--trials", "1"]
+    code = run(argv + (["--studies", str(pipeline["studies"])] if stage == "evaluate" else []))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {stage}: {meta}")
+    assert re.search(message, err)
+    assert "\n" not in err.strip()
+    assert not (tmp_path / "out").exists()
 
 
 def test_journal_trial_missing_param_fails_naming_line(pipeline, tmp_path, capsys):
@@ -246,20 +273,20 @@ def test_config_file_threads_through(tmp_path, capsys):
         ('{"bogus": 1, "seed": 2}', "unknown config keys ['bogus']"),
         ("{nope", "Expecting property name"),
         ("[1, 2]", "config must be a JSON object"),
-        ('{"trials": 2.5}', "trials must be an integer, got 2.5"),
-        ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
-        ('{"seed": "x"}', "seed must be an integer, got 'x'"),
+        ('{"trials": 2.5}', "config field 'trials' must be an integer, got float"),
+        ('{"seed": 1.5}', "config field 'seed' must be an integer, got float"),
+        ('{"seed": "x"}', "config field 'seed' must be an integer, got str"),
         # the preprocessing and band settings are constants, not config keys
         ('{"smooth_k": 7.0}', "unknown config keys ['smooth_k']"),
         ('{"filter_order": 4.0}', "unknown config keys ['filter_order']"),
-        ('{"trials": true}', "trials must be an integer, got True"),
-        ('{"seed": true}', "seed must be an integer, got True"),
+        ('{"trials": true}', "config field 'trials' must be an integer, got bool"),
+        ('{"seed": true}', "config field 'seed' must be an integer, got bool"),
         ('{"mad_k": true}', "unknown config keys ['mad_k']"),
         ('{"band_lo": "1"}', "unknown config keys ['band_lo']"),
         ('{"band_hi": null}', "unknown config keys ['band_hi']"),
         ('{"mad_k": NaN}', "unknown config keys ['mad_k']"),
-        ('{"out": 5}', "out must be a string or null, got 5"),
-        ('{"data": ["x"]}', "data must be a string or null, got ['x']"),
+        ('{"out": 5}', "config field 'out' must be a string or null, got int"),
+        ('{"data": ["x"]}', "config field 'data' must be a string or null, got list"),
     ],
     ids=["unknown_key", "invalid_json", "not_an_object", "trials_fractional",
          "seed_fractional", "seed_string", "smooth_k_float", "filter_order_float",

@@ -482,6 +482,11 @@ def _one_node_self_loop(doc):
          "^params field 'n_estimators' must be an integer, got float$"),
         ("rf", lambda d: d["params"].update(n_estimators="7"), EvalError,
          "^params field 'n_estimators' must be an integer, got str$"),
+        # np.array([True, 0.5]) would read the bool as 1.0
+        ("rf", lambda d: _tree(d)["threshold"].__setitem__(0, True), EvalError,
+         r"^model file field 'rf\.trees\[0\]\.threshold' must hold numbers, got bool$"),
+        ("svm", lambda d: d["col_std"].__setitem__(3, False), EvalError,
+         "^model file field 'col_std' must hold numbers, got bool$"),
     ],
     ids=[
         "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
@@ -497,6 +502,7 @@ def _one_node_self_loop(doc):
         "support_vectors_int", "n_passes_string", "dual_objective_string",
         "sv_index_not_integer", "tree_threshold_strings", "trees_empty", "n_features_string",
         "n_features_null", "n_estimators_fractional", "n_estimators_numeric_string",
+        "tree_threshold_bool", "col_std_bool",
     ],
 )
 def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):

@@ -77,7 +77,20 @@ def test_meta_field_of_wrong_type_names_meta_json(tmp_path, small_easy_rec, key,
     meta = json.loads(meta_path.read_text())
     meta[key] = value
     meta_path.write_text(json.dumps(meta))
-    with pytest.raises(DatasetError, match=rf"meta\.json: bad '{key}': "):
+    with pytest.raises(DatasetError, match=rf"meta\.json field '{key}' must be "):
+        load_recording(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "key", ["subject_id", "fs", "channel_names", "n_blocks", "block_labels", "trials_per_block"]
+)
+def test_meta_without_a_key_names_it(tmp_path, small_easy_rec, key):
+    write_recording(small_easy_rec, tmp_path / "ds")
+    meta_path = tmp_path / "ds" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta[key]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError, match=rf"meta\.json has no field '{key}'$"):
         load_recording(tmp_path / "ds")
 
 

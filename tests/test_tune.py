@@ -230,7 +230,8 @@ def test_torn_final_line_is_dropped_and_resume_matches_straight_run(tmp_path, ca
         (3, '{"kind": "trial", "index": 1', r"study\.jsonl:3: bad journal line: JSONDecodeError"),
         (4, '{"kind": "note"}',
          r"study\.jsonl:4: bad journal line: ValueError.*expected a 'trial' record"),
-        (2, '{"kind": "trial", "index": 0}', r"study\.jsonl:2: bad journal line: KeyError"),
+        (2, '{"kind": "trial", "index": 0}',
+         r"study\.jsonl:2: bad journal line: ValueError.*trial has no field 'params'"),
         (1, "not json", r"study\.jsonl:1: bad journal line: JSONDecodeError"),
         (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "ok", "value": null}',
          r"study\.jsonl:3: bad journal line: ValueError.*status 'ok' with value None"),
@@ -243,13 +244,22 @@ def test_torn_final_line_is_dropped_and_resume_matches_straight_run(tmp_path, ca
         (3, '{"kind": "trial", "index": 7, "params": {"x": 1.0}, "status": "ok", "value": 0.5}',
          r"study\.jsonl:3: bad journal line: ValueError.*index 7 is not the trial's position 1"),
         (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "ok", "value": true}',
-         r"study\.jsonl:3: bad journal line: ValueError.*value True is a bool"),
+         r"study\.jsonl:3: bad journal line: ValueError.*trial field 'value' must be a number "
+         "or null, got bool"),
         (3, '{"kind": "trial", "index": true, "params": {"x": 1.0}, "status": "ok", "value": 0.5}',
-         r"study\.jsonl:3: bad journal line: ValueError.*index True or value"),
+         r"study\.jsonl:3: bad journal line: ValueError.*trial field 'index' must be an integer, "
+         "got bool"),
+        (3, '{"kind": "trial", "index": 1.0, "params": {"x": 1.0}, "status": "ok", "value": 0.5}',
+         r"study\.jsonl:3: bad journal line: ValueError.*trial field 'index' must be an integer, "
+         "got float"),
+        (1, '{"kind": "study", "model": null, "schema_version": true, "seed": 3, '
+            '"subject_id": null}',
+         r"study\.jsonl:1: bad journal line: ValueError.*header field 'schema_version' must be "
+         "an integer, got bool"),
     ],
     ids=["unparsable_middle", "wrong_kind", "missing_keys", "bad_header", "ok_null_value",
          "ok_nan_value", "failed_with_value", "unknown_status", "index_not_position",
-         "ok_bool_value", "index_bool"],
+         "ok_bool_value", "index_bool", "index_float", "header_version_bool"],
 )
 def test_bad_journal_line_names_path_and_line(tmp_path, line_no, bad, message):
     space = SearchSpace((UniformDim("x", 0.0, 10.0),))
