@@ -14,8 +14,9 @@ that does not parse fails in one line naming path:line.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, is_dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -129,6 +130,23 @@ def _raise_first_bad_line(path, rows, n_fields, number_at, error, row_prefix, re
 # -- the JSON reader -----------------------------------------------------------
 
 
+def _finite(cast, text):
+    """A JSON number (or NaN/Infinity) as cast reads it, refused outside float range."""
+    if abs(value := cast(text)) <= sys.float_info.max:
+        return value
+    raise ValueError(f"number {text[:24]}{'...' * (len(text) > 24)} is not a finite float")
+
+
+def parse_json(text, where, error=DatasetError):
+    """The value of JSON text. A syntax error, NaN, Infinity or a number that
+    overflows a float raises error, its message led by where."""
+    try:
+        return json.loads(text, parse_float=partial(_finite, float),
+                          parse_int=partial(_finite, int), parse_constant=partial(_finite, float))
+    except ValueError as e:
+        raise error(f"{where}: {e}") from None
+
+
 @cache
 def _field_types(cls) -> dict:
     """Field name -> annotation of dataclass cls, resolved once per class."""
@@ -229,10 +247,7 @@ def load_recording(path) -> Recording:
     if not csv_path.is_file():
         raise DatasetError(f"{root}: missing {CSV_NAME}")
 
-    try:
-        doc = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"{meta_path}: invalid JSON: {e}") from e
+    doc = parse_json(meta_path.read_text(encoding="utf-8"), f"{meta_path}: invalid JSON")
     meta = read_json(_Meta, doc, str(meta_path))
     if len(meta.channel_names) != len(CHANNELS):
         raise DatasetError(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import read_json
+from .dataset import parse_json, read_json
 from .features import (
     ERP_SAMPLES,
     LDA_COL_START,
@@ -370,10 +370,7 @@ _read_model = partial(read_json, owner="model file", error=EvalError)
 def model_from_json(text: str) -> TrainedModel:
     """Parse a model file; each field is read as its dataclass annotation
     says, and arrays that do not fit together are refused."""
-    try:
-        doc = _read_model(dict, json.loads(text))
-    except json.JSONDecodeError as e:
-        raise EvalError(f"model file is not JSON: {e}") from None
+    doc = _read_model(dict, parse_json(text, "model file is not JSON", EvalError))
     version = doc.get("schema_version")
     if version != SERIAL_VERSION:
         raise EvalError(

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import read_json
+from .dataset import parse_json, read_json
 from .forest import CRITERION_CHOICES, INT_RANGES, MAX_FEATURES_CHOICES, seed_key
 from .svm import HP_RANGE, SvmHyperParams
 
@@ -407,8 +407,8 @@ def load_study(path, space: SearchSpace) -> Study:
     records = []
     for line_no, line in enumerate(lines, start=1):
         kind = "study" if line_no == 1 else "trial"
+        doc = parse_json(line, f"{path}:{line_no}: bad journal line", TuneError)
         try:
-            doc = json.loads(line)
             if not isinstance(doc, dict) or doc.get("kind") != kind:
                 raise ValueError(f"expected a {kind!r} record")
             if kind == "study":

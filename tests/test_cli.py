@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import attndecode
-from attndecode.cli import RunConfig, CliError, main
+from attndecode.cli import main
 
 
 def run(argv):
@@ -125,8 +125,9 @@ def test_truncated_features_meta_fails_naming_it(pipeline, tmp_path, capsys):
         (lambda m: m.update(n_trials=m["n_trials"] + 1),
          r"n_trials is 17, but features\.csv has 16 trials"),
         (lambda m: m.update(subject_id=None), r"field 'subject_id' must be a string, got NoneType"),
+        (lambda m: m.update(fs=float("nan")), r"number NaN is not a finite float"),
     ],
-    ids=["n_trials_differs", "subject_id_null"],
+    ids=["n_trials_differs", "subject_id_null", "fs_nan"],
 )
 @pytest.mark.parametrize("stage", ["tune", "evaluate"])
 def test_bad_features_meta_fails_naming_it(pipeline, tmp_path, capsys, stage, edit, message):
@@ -135,8 +136,9 @@ def test_bad_features_meta_fails_naming_it(pipeline, tmp_path, capsys, stage, ed
     doc = json.loads(meta.read_text())
     edit(doc)
     meta.write_text(json.dumps(doc))
-    argv = [stage, "--data", str(feats), "--out", str(tmp_path / "out"), "--trials", "1"]
-    code = run(argv + (["--studies", str(pipeline["studies"])] if stage == "evaluate" else []))
+    argv = [stage, "--data", str(feats), "--out", str(tmp_path / "out")]
+    code = run(argv + (["--studies", str(pipeline["studies"])] if stage == "evaluate"
+                       else ["--trials", "1"]))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {stage}: {meta}")
@@ -216,9 +218,14 @@ def test_synth_invalid_flags_fail(tmp_path, capsys):
         ["preprocess", "--data", "d", "--trials", "5"],
         ["features", "--data", "d", "--model", "svm"],
         ["tune", "--data", "d", "--mod", "svm"],  # no prefix matching
+        ["preprocess", "--data", "d", "--seed", "1"],
+        ["features", "--data", "d", "--seed", "1"],
+        ["evaluate", "--data", "d", "--studies", "s", "--trials", "5"],
+        ["synth", "--config", "x"],
     ],
     ids=["synth_trials", "synth_model", "preprocess_trials", "features_model",
-         "tune_abbreviated_flag"],
+         "tune_abbreviated_flag", "preprocess_seed", "features_seed", "evaluate_trials",
+         "synth_config"],
 )
 def test_flags_a_stage_does_not_read_are_refused(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -228,81 +235,34 @@ def test_flags_a_stage_does_not_read_are_refused(tmp_path, argv, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_runconfig_roundtrip():
-    cfg = RunConfig(model="svm", trials=7, seed=3)
-    text = cfg.to_json()
-    again = RunConfig.from_json(text)
-    assert again == cfg
-    assert again.to_json() == text
-
-
-def test_runconfig_validation():
-    with pytest.raises(CliError):
-        RunConfig(model="boost")
-
-
-def test_paths_resolvable_from_config(tmp_path, capsys):
-    cfg = RunConfig(out=str(tmp_path / "ds"), seed=2)
-    (tmp_path / "cfg.json").write_text(cfg.to_json())
-    assert run([
-        "synth", "--config", str(tmp_path / "cfg.json"),
-        "--blocks", "2", "--trials-per-block", "8",
-    ]) == 0
-    assert (tmp_path / "ds" / "meta.json").is_file()
-
-    code = run(["preprocess", "--out", str(tmp_path / "pre")])
-    assert code == 1
-    assert "missing --data" in capsys.readouterr().err
-
-
-def test_config_file_threads_through(tmp_path, capsys):
-    cfg = RunConfig(trials=2, seed=9)
-    (tmp_path / "cfg.json").write_text(cfg.to_json())
-    code = run([
-        "synth", "--out", str(tmp_path / "ds"), "--config", str(tmp_path / "cfg.json"),
-        "--blocks", "2", "--trials-per-block", "8",
-    ])
-    assert code == 0
-    meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
-    assert meta["seed"] == 9  # config seed used when flag absent
-
-
 @pytest.mark.parametrize(
-    "text, message",
-    [
-        ('{"bogus": 1, "seed": 2}', "unknown config keys ['bogus']"),
-        ("{nope", "Expecting property name"),
-        ("[1, 2]", "config must be a JSON object"),
-        ('{"trials": 2.5}', "config field 'trials' must be an integer, got float"),
-        ('{"seed": 1.5}', "config field 'seed' must be an integer, got float"),
-        ('{"seed": "x"}', "config field 'seed' must be an integer, got str"),
-        # the preprocessing and band settings are constants, not config keys
-        ('{"smooth_k": 7.0}', "unknown config keys ['smooth_k']"),
-        ('{"filter_order": 4.0}', "unknown config keys ['filter_order']"),
-        ('{"trials": true}', "config field 'trials' must be an integer, got bool"),
-        ('{"seed": true}', "config field 'seed' must be an integer, got bool"),
-        ('{"mad_k": true}', "unknown config keys ['mad_k']"),
-        ('{"band_lo": "1"}', "unknown config keys ['band_lo']"),
-        ('{"band_hi": null}', "unknown config keys ['band_hi']"),
-        ('{"mad_k": NaN}', "unknown config keys ['mad_k']"),
-        ('{"out": 5}', "config field 'out' must be a string or null, got int"),
-        ('{"data": ["x"]}', "config field 'data' must be a string or null, got list"),
-    ],
-    ids=["unknown_key", "invalid_json", "not_an_object", "trials_fractional",
-         "seed_fractional", "seed_string", "smooth_k_float", "filter_order_float",
-         "trials_bool", "seed_bool", "mad_k_bool", "band_lo_string", "band_hi_null",
-         "mad_k_nan", "out_number", "data_list"],
+    "stage, missing",
+    [("synth", "--out"), *((stage, flag) for stage in ("preprocess", "features", "tune", "evaluate")
+                           for flag in ("--data", "--out"))],
+    ids=lambda v: v.lstrip("-"),
 )
-def test_bad_config_file_fails_in_one_line_naming_it(tmp_path, capsys, text, message):
-    path = tmp_path / "cfg.json"
-    path.write_text(text)
-    code = run(["synth", "--config", str(path), "--out", str(tmp_path / "ds")])
+def test_stage_without_data_or_out_is_a_usage_error(tmp_path, capsys, stage, missing):
+    paths = {"--data": tmp_path / "d", "--out": tmp_path / "o", "--studies": tmp_path / "s"}
+    given = {"synth": ["--out"], "evaluate": ["--data", "--out", "--studies"]}
+    argv = [stage]
+    for flag in given.get(stage, ["--data", "--out"]):
+        if flag != missing:
+            argv += [flag, str(paths[flag])]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_tune_with_no_trials_is_refused_and_writes_nothing(pipeline, tmp_path, capsys):
+    out = tmp_path / "studies"
+    code = run(["tune", "--data", str(pipeline["feats"]), "--out", str(out), "--trials", "0"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"error: synth: {path}: ")
-    assert message in err
+    assert err.startswith("error: tune: budget must be >= 1, got 0")
     assert "\n" not in err.strip()
-    assert not (tmp_path / "ds").exists()
+    assert not out.exists()
 
 
 # Synth, preprocess and features in one child process; prints whether numpy

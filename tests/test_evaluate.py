@@ -487,6 +487,11 @@ def _one_node_self_loop(doc):
          r"^model file field 'rf\.trees\[0\]\.threshold' must hold numbers, got bool$"),
         ("svm", lambda d: d["col_std"].__setitem__(3, False), EvalError,
          "^model file field 'col_std' must hold numbers, got bool$"),
+        # json.dumps writes NaN and Infinity, which no JSON parser here accepts
+        ("svm", lambda d: d["col_std"].__setitem__(3, float("nan")), EvalError,
+         "^model file is not JSON: number NaN is not a finite float$"),
+        ("svm", lambda d: d["svm"].update(bias=float("inf")), EvalError,
+         "^model file is not JSON: number Infinity is not a finite float$"),
     ],
     ids=[
         "tree_unequal_lengths", "tree_counts_not_n_by_2", "tree_child_loops_back",
@@ -502,7 +507,7 @@ def _one_node_self_loop(doc):
         "support_vectors_int", "n_passes_string", "dual_objective_string",
         "sv_index_not_integer", "tree_threshold_strings", "trees_empty", "n_features_string",
         "n_features_null", "n_estimators_fractional", "n_estimators_numeric_string",
-        "tree_threshold_bool", "col_std_bool",
+        "tree_threshold_bool", "col_std_bool", "col_std_nan", "bias_infinity",
     ],
 )
 def test_malformed_model_file_is_refused(model_docs, kind, edit, error, message):

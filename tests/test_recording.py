@@ -63,21 +63,34 @@ def test_channel_count_mismatch_meta(tmp_path, small_easy_rec):
         load_recording(tmp_path / "ds")
 
 
+class JsonText(str):
+    """A value written into the file as this JSON text, not as a JSON string."""
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
         ("fs", "abc"), ("n_blocks", [2]), ("block_labels", 3), ("trials_per_block", 8.9),
         ("n_blocks", 2.5), ("fs", "250"), ("fs", True), ("block_labels", "fs"),
         ("subject_id", None), ("subject_id", 5),
+        # numbers no float holds fail at parse time, before any field is read
+        pytest.param("fs", JsonText("1e400"), id="fs-1e400"),
+        pytest.param("fs", JsonText("NaN"), id="fs-NaN"),
+        pytest.param("fs", JsonText("1" + "0" * 400), id="fs-int_401_digits"),
+        pytest.param("fs", JsonText("1" + "0" * 5000), id="fs-int_5001_digits"),
     ],
 )
 def test_meta_field_of_wrong_type_names_meta_json(tmp_path, small_easy_rec, key, value):
     write_recording(small_easy_rec, tmp_path / "ds")
     meta_path = tmp_path / "ds" / "meta.json"
     meta = json.loads(meta_path.read_text())
-    meta[key] = value
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(DatasetError, match=rf"meta\.json field '{key}' must be "):
+    is_text = isinstance(value, JsonText)
+    meta[key] = "@value@" if is_text else value
+    text = json.dumps(meta)
+    meta_path.write_text(text.replace('"@value@"', value) if is_text else text)
+    message = (r"meta\.json: invalid JSON: (number .* is not a finite float|Exceeds the limit)"
+               if is_text else rf"meta\.json field '{key}' must be ")
+    with pytest.raises(DatasetError, match=message):
         load_recording(tmp_path / "ds")
 
 

@@ -227,16 +227,16 @@ def test_torn_final_line_is_dropped_and_resume_matches_straight_run(tmp_path, ca
 @pytest.mark.parametrize(
     "line_no, bad, message",
     [
-        (3, '{"kind": "trial", "index": 1', r"study\.jsonl:3: bad journal line: JSONDecodeError"),
+        (3, '{"kind": "trial", "index": 1', r"study\.jsonl:3: bad journal line: Expecting"),
         (4, '{"kind": "note"}',
          r"study\.jsonl:4: bad journal line: ValueError.*expected a 'trial' record"),
         (2, '{"kind": "trial", "index": 0}',
          r"study\.jsonl:2: bad journal line: ValueError.*trial has no field 'params'"),
-        (1, "not json", r"study\.jsonl:1: bad journal line: JSONDecodeError"),
+        (1, "not json", r"study\.jsonl:1: bad journal line: Expecting value"),
         (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "ok", "value": null}',
          r"study\.jsonl:3: bad journal line: ValueError.*status 'ok' with value None"),
         (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "ok", "value": NaN}',
-         r"study\.jsonl:3: bad journal line: ValueError.*status 'ok' with value nan"),
+         r"study\.jsonl:3: bad journal line: number NaN is not a finite float"),
         (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "failed", "value": 0.5}',
          r"study\.jsonl:3: bad journal line: ValueError.*status 'failed' with value 0\.5"),
         (3, '{"kind": "trial", "index": 1, "params": {"x": 1.0}, "status": "done", "value": 0.5}',
