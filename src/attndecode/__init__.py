@@ -9,10 +9,9 @@ verified by stratified 5-fold cross-validation with ROC/AUC reporting.
 from .dataset import DatasetError, load_recording, write_recording
 from .dsp import (
     DspError,
-    IirFilter,
     analytic_envelope,
+    bandpass_gain,
     baseline_correct,
-    design_butterworth_bandpass,
     despike_mad,
     filtfilt,
     knn_smooth,
@@ -75,8 +74,8 @@ from .wavelets import WaveletBank, build_wavelet_bank, cwt_power
 __version__ = "0.1.0"
 
 __all__ = [
-    "DatasetError", "load_recording", "write_recording", "DspError", "IirFilter",
-    "analytic_envelope", "baseline_correct", "design_butterworth_bandpass", "despike_mad",
+    "DatasetError", "load_recording", "write_recording", "DspError",
+    "analytic_envelope", "bandpass_gain", "baseline_correct", "despike_mad",
     "filtfilt", "knn_smooth", "preprocess", "EvalError", "EvalReport", "FoldTransform", "ModelSpec",
     "TrainedModel", "cross_validate", "load_model", "model_from_json", "model_to_json", "roc_auc",
     "save_model", "stratified_kfold", "train_full_model", "ErpEpochs", "FeatureMatrix",

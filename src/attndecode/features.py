@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import read_csv, read_header, write_csv
-from .dsp import DspError, analytic_envelope, design_butterworth_bandpass, filtfilt
+from .dsp import DspError, analytic_envelope, filtfilt
 from .recording import CHANNELS, CLASS_LABELS, DEFAULT_BANDS, Recording
 from .wavelets import build_wavelet_bank, cwt_power
 
@@ -96,8 +96,7 @@ def erp_epochs(rec: Recording) -> ErpEpochs:
     if fs_i % int(ERP_FS_OUT) != 0:
         raise FeatureError(f"fs={rec.fs} is not divisible by {int(ERP_FS_OUT)}")
     decim = fs_i // int(ERP_FS_OUT)
-    filt = design_butterworth_bandpass(ERP_FILTER_ORDER, *ERP_BAND, fs=rec.fs)
-    filtered = filtfilt(filt, rec.samples)
+    filtered = filtfilt(rec.samples, ERP_FILTER_ORDER, *ERP_BAND, rec.fs)
 
     starts = rec.trial_starts().ravel()
     gathered = filtered[:, starts[:, None] + np.arange(0, fs_i, decim)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import DspError
+from .dsp import DspError, next_fast_len
 
 DEFAULT_FREQS_HZ = np.arange(1.0, 41.0)
 DEFAULT_CYCLES = (0.1, 10.0)
@@ -68,8 +68,6 @@ def cwt_power(x: np.ndarray, bank: WaveletBank) -> np.ndarray:
     n = len(x)
     if n < bank.max_len:
         raise DspError(f"signal length {n} shorter than longest kernel {bank.max_len}")
-    from scipy.fft import next_fast_len
-
     nfft = next_fast_len(n + bank.max_len - 1)
     spec = np.fft.fft(x, nfft)
     power = np.empty((bank.n_freqs, n))

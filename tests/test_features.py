@@ -21,7 +21,7 @@ from attndecode import (
     window_stats,
     write_feature_matrix,
 )
-from attndecode.dsp import baseline_correct, design_butterworth_bandpass, filtfilt, knn_smooth
+from attndecode.dsp import baseline_correct, filtfilt, knn_smooth
 from attndecode.features import (
     N_ERP_STAT_COLS,
     N_FEATURES,
@@ -37,7 +37,7 @@ from attndecode.features import (
 from attndecode.recording import CHANNELS, CLASS_LABELS, DEFAULT_BANDS
 
 from conftest import make_toy_recording
-from test_dsp import fit_tone_amplitude, oracle_magnitude
+from test_dsp import butter_sos, fit_tone_amplitude, oracle_magnitude
 
 FS = 250.0
 
@@ -62,8 +62,7 @@ def test_erp_2hz_tone_survives_filter_and_decimation():
     ep = erp_epochs(rec)
     # interior trial of block 0; tone amplitude measured at 50 Hz
     amp = fit_tone_amplitude(ep.data[2, 0], 2.0, 50.0)
-    filt = design_butterworth_bandpass(4, 1.0, 4.0, FS)
-    expected = oracle_magnitude(filt.sos, 2.0, FS) ** 2
+    expected = oracle_magnitude(butter_sos(4, 1.0, 4.0, FS), 2.0, FS) ** 2
     assert amp == pytest.approx(expected, rel=0.02)
     assert abs(amp - 1.0) < 0.05
 
@@ -71,10 +70,7 @@ def test_erp_2hz_tone_survives_filter_and_decimation():
 def test_erp_decimation_keeps_every_fifth_sample():
     rec = make_toy_recording(lambda t: np.cos(2.0 * np.pi * 1.5 * t))
     ep = erp_epochs(rec)
-    from attndecode.dsp import filtfilt
-
-    filt = design_butterworth_bandpass(4, 1.0, 4.0, FS)
-    filtered = filtfilt(filt, rec.samples[0])
+    filtered = filtfilt(rec.samples[0], 4, 1.0, 4.0, FS)
     start = rec.trial_starts()[0, 1]
     np.testing.assert_allclose(ep.data[1, 0], filtered[start : start + int(FS) : 5], atol=1e-12)
 
@@ -154,7 +150,7 @@ def _kernel_rows(rng, n):
     "kernel, n, n_out",
     [(window_stats, 50, 42), (envelope_statistics, 250, 6), (envelope_statistics, 17, 6),
      (functools.partial(analytic_envelope, band=DEFAULT_BANDS[1], fs=FS), 1000, 1000),
-     (functools.partial(filtfilt, design_butterworth_bandpass(5, 0.4, 40.0, FS)), 1000, 1000),
+     (functools.partial(filtfilt, order=5, lo=0.4, hi=40.0, fs=FS), 1000, 1000),
      (functools.partial(knn_smooth, k=7), 300, 300),
      (lambda x: baseline_correct(x, x[..., 40:90]), 300, 300)],
     ids=["window_stats", "envelope_statistics", "envelope_statistics_odd", "analytic_envelope",
@@ -405,7 +401,7 @@ def test_hilbert_matches_whole_block_sosfiltfilt_reference():
         whole = rec.block_slice(b)
         window = rec.trial_starts()[b, :, None] - whole.start + np.arange(fs_i)
         for k, band in enumerate(DEFAULT_BANDS):
-            sos = design_butterworth_bandpass(4, band.lo, band.hi, rec.fs).sos
+            sos = butter_sos(4, band.lo, band.hi, rec.fs)
             y = sosfiltfilt(sos, rec.samples[:, whole], padtype="odd", padlen=10 * fs_i)
             env = np.abs(hilbert(y))
             expected[b * tpb : (b + 1) * tpb, :, k] = env[:, window].mean(axis=-1).T

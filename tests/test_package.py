@@ -43,3 +43,29 @@ def test_importing_the_cli_loads_no_network_stack():
     # no stage touches the network; urllib.request alone adds http.client, ssl
     # and email to the start-up of every stage
     assert "urllib.request" not in _modules_loaded_by_cli_import()
+
+
+
+SIGNAL_STAGES = """
+import json, sys
+from attndecode.cli import main
+root = sys.argv[1]
+for argv in (["synth", "--out", f"{root}/ds", "--seed", "5", "--blocks", "2",
+              "--trials-per-block", "8"],
+             ["preprocess", "--data", f"{root}/ds", "--out", f"{root}/pre"],
+             ["features", "--data", f"{root}/pre", "--out", f"{root}/f"]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_signal_stages_import_no_scipy(tmp_path):
+    # synth, preprocess and features run on numpy alone: scipy.signal alone
+    # cost each stage about 1 s and 70 MB
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", SIGNAL_STAGES, str(tmp_path)], env=env, capture_output=True,
+        text=True, check=True, timeout=300,
+    )
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert [m for m in loaded if m.startswith("scipy")] == []

@@ -73,3 +73,13 @@ def test_signal_shorter_than_kernel_rejected():
 def test_bank_validation():
     with pytest.raises(DspError, match="too low"):
         build_wavelet_bank(fs=60.0)
+
+
+def test_next_fast_len_is_scipys_11_smooth_length():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    from attndecode.dsp import next_fast_len
+
+    for n in range(1, 20001):
+        assert next_fast_len(n) == scipy_next_fast_len(n), n
+    assert next_fast_len(15580) == 15625  # one 8 x 40 block
